@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .csp import (
     ALLDIFFERENT,
@@ -400,8 +400,8 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def run_suite(specs, kinds, method: str = "counter", timeout_s: float | None = None,
-              config: SolverConfig | None = None) -> BenchReport:
+def run_suite(specs, kinds, method: str = "counter",
+              timeout_s: float | None = None) -> BenchReport:
     """Encode and solve every (spec, kind) pair sequentially.
 
     A run that exhausts its time budget or trips a size cap is recorded
@@ -417,10 +417,7 @@ def run_suite(specs, kinds, method: str = "counter", timeout_s: float | None = N
                 atoms = len(enc.program.atoms())
                 rules = len(enc.program.rules)
                 store = completion_nogoods(normalize_cardinality(enc.program, method))
-                cfg = config or SolverConfig()
-                if timeout_s is not None:
-                    cfg = replace(cfg, timeout_s=timeout_s)
-                result = solve(store, cfg)
+                result = solve(store, SolverConfig(timeout_s=timeout_s))
                 rows.append(
                     BenchRow(
                         spec.family,

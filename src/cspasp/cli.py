@@ -25,7 +25,9 @@ from .benchmarks import (
 from .csp import LEVELS, consistency_oracle, format_instance, parse_instance
 from .encoder import (
     ENCODING_NAMES,
+    Encoding,
     EncodingKind,
+    EncodingMap,
     EncodingPropagator,
     decode,
     encode,
@@ -68,8 +70,8 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _kind(args, default: str = "support") -> EncodingKind:
-    name = args.encoding or default
+def _kind(args) -> EncodingKind:
+    name = args.encoding or "support"
     hall = getattr(args, "hall_limit", None)
     if hall is not None and name not in ("range", "bound"):
         raise ValueError(f"--hall-limit does not apply to the {name} encoding")
@@ -123,12 +125,15 @@ def _cmd_encode(args) -> int:
 
 def _cmd_solve(args) -> int:
     text = _read_text(args.input)
-    instance = kind = enc = program = None
+    enc = None
     embedded = _split_header(text)
     if embedded is not None:
-        instance, kind = embedded
+        # the program body is what gets solved; the header only decodes
         if args.encoding is not None or args.hall_limit is not None:
-            kind = _kind(args, default=kind.name)
+            raise ValueError("encode output fixes its encoding; drop -e/--hall-limit")
+        instance, kind = embedded
+        program = parse_ground(text)
+        enc = Encoding(instance, kind, EncodingMap(instance), program)
     else:
         try:
             instance = parse_instance(text)
@@ -137,11 +142,9 @@ def _cmd_solve(args) -> int:
                 program = parse_ground(text)
             except ValueError:
                 raise instance_error from None
-        if program is None:
-            kind = _kind(args)
-    if program is None:
-        enc = encode(instance, kind)
-        program = enc.program
+        else:
+            enc = encode(instance, _kind(args))
+            program = enc.program
     store = completion_nogoods(normalize_cardinality(program, args.method))
     if args.emit_nogoods:
         _write_text(args.emit_nogoods, dump_nogoods(store))
@@ -153,7 +156,7 @@ def _cmd_solve(args) -> int:
         models, stats, status = enumerate_models(store, cfg, limit=limit)
         for i, model in enumerate(models, 1):
             out.append(f"MODEL {i}")
-            out.extend(_model_lines(enc, instance, program, model))
+            out.extend(_model_lines(enc, program, model))
         out.append(f"models = {len(models)}")
         if args.stats:
             out.append(stats.as_text())
@@ -164,7 +167,7 @@ def _cmd_solve(args) -> int:
     result = solve(store, cfg)
     if result.status == SAT:
         out.append("SAT")
-        out.extend(_model_lines(enc, instance, program, result.assignment))
+        out.extend(_model_lines(enc, program, result.assignment))
     else:
         out.append(result.status)
     if args.stats:
@@ -177,10 +180,10 @@ def _cmd_solve(args) -> int:
     return 2
 
 
-def _model_lines(enc, instance, program, assignment):
+def _model_lines(enc, program, assignment):
     if enc is not None:
         values = decode(enc, assignment)
-        return [f"{decl.name} = {values[decl.name]}" for decl in instance.variables]
+        return [f"{decl.name} = {values[decl.name]}" for decl in enc.instance.variables]
     true = {lit.entity for lit in assignment if lit.truth}
     return [str(atom) for atom in program.atoms() if atom in true]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 from .errors import CapExceeded
-from .propagation import BodyId, NogoodStore, SignedLiteral
+from .propagation import BodyId, NogoodStore
 
 BINOMIAL_CAP = 10 ** 6
 
@@ -376,8 +376,8 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
     """Clark-style completion of a (tight) program as a nogood store.
 
     Entities are the program's atoms (in first-occurrence order, so they
-    come first) followed by one BodyId per structurally distinct rule
-    body.  Per body beta = {a1..am, not am+1..an} the store receives
+    come first) followed by one BodyId per structurally distinct normal
+    or choice body.  Per body beta = {a1..am, not am+1..an} the store receives
 
         {T a1, ..., T am, F am+1, ..., F an, F beta}
         {F ai, T beta}  for i <= m      {T aj, T beta}  for j > m
@@ -387,8 +387,9 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
         {T a, F beta1, ..., F betak}
 
     plus {T beta, F a} for each *normal* body, since only normal rules
-    force their head.  Integrity bodies get the unit nogood {T beta}.
-    Atoms that head no rule at all end up with the unit {T a}.
+    force their head.  Atoms that head no rule at all end up with the
+    unit {T a}.  An integrity rule ``:- B`` gives the one nogood B; only
+    ``:- .``, with no literal to put in it, gets a body beta and {T beta}.
 
     Completion characterizes answer sets only for tight programs, hence
     the default tightness check.
@@ -403,11 +404,13 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
     body_ids: dict[frozenset, int] = {}  # frozenset of lit codes -> entity index
     normal_bodies: dict[Atom, list[int]] = {}
     choice_bodies: dict[Atom, list[int]] = {}
-    integrity_bodies: list[int] = []
     add = store.add_static_codes
 
+    def body_codes(body: tuple[Lit, ...]) -> list[int]:
+        return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
+
     def intern_body(body: tuple[Lit, ...]) -> int:
-        lit_codes = sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
+        lit_codes = body_codes(body)
         key = frozenset(lit_codes)
         bidx = body_ids.get(key)
         if bidx is not None:
@@ -431,12 +434,12 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
             for head in rule.heads:
                 choice_bodies.setdefault(head, []).append(bidx)
         elif isinstance(rule, IntegrityRule):
-            integrity_bodies.append(intern_body(rule.body))
+            if rule.body:
+                add(body_codes(rule.body))
+            else:
+                add([2 * intern_body(())])
         else:
             raise TypeError("normalize cardinality rules away before completion")
-
-    for bidx in integrity_bodies:
-        add([2 * bidx])
 
     for atom in atoms:
         aidx = atom_idx[atom]

@@ -222,30 +222,18 @@ class Trail:
         return [literal(c) for c in self.codes]
 
 
-def unit_propagate(
-    store: NogoodStore, trail: Trail, *, drop_root_satisfied: bool = False
-) -> int | None:
+def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     """Run two-watched unit propagation to fixpoint.
 
     Returns the id of a violated nogood, or None on success.  Implied
     literals are appended to the trail with their reason recorded.
     Pending unit nogoods are applied first whenever the trail is at the
     root level.
-
-    With ``drop_root_satisfied``, a nogood visited while its other watch
-    is falsified at the root level leaves the visited watch list: it can
-    never fire again on this trail.  A root literal's own reason is never
-    dropped, since once it fired its watches are that literal and one
-    that holds at the root, so a fresh trail re-derives the root level
-    before any decision.  Only a search that derives its root level from
-    the store alone may ask for this; a caller that seeds literals at
-    level 0 must not, since those hold for its trail only.
     """
     nogoods = store.nogoods
     values = trail.values
     codes = trail.codes
     watches = store.watches
-    level_of = trail.level_of
 
     if trail.units_seen < len(store.units) and trail.level == 0:
         for ng_id in store.units[trail.units_seen:]:
@@ -278,8 +266,6 @@ def unit_propagate(
             ov = values[other >> 1]
             if ov == 2 - (other & 1):
                 # the other watch is falsified: nogood cannot fire
-                if drop_root_satisfied and not level_of[other >> 1]:
-                    continue  # satisfied for good: stop watching sigma
                 wl[write] = ng_id
                 write += 1
                 continue

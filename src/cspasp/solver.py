@@ -5,8 +5,10 @@ the body-definition nogoods force each body entity, so restricting the
 branching set loses no solutions and keeps the heuristic focused.
 
 Everything here is deterministic: ties break on entity index, restarts
-follow the Luby sequence, and no randomness is involved, so a given
-store and configuration always reproduce the same run and statistics.
+follow the Luby sequence, and no randomness is involved, so a freshly
+built store and a configuration always reproduce the same run and
+statistics.  The search appends its learned nogoods to the store it is
+given and reorders that store's watches in place.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class _Search:
 
     def propagate(self) -> int | None:
         before = len(self.trail.codes)
-        conflict = unit_propagate(self.store, self.trail, drop_root_satisfied=True)
+        conflict = unit_propagate(self.store, self.trail)
         self.stats.propagations += len(self.trail.codes) - before
         return conflict
 
@@ -308,7 +310,8 @@ def solve(store: NogoodStore, cfg: SolverConfig | None = None) -> SolveResult:
     """Decide satisfiability of the store's nogoods.
 
     Returns SAT with a total assignment, UNSAT, or UNKNOWN when the
-    configured conflict/time budget ran out first.
+    configured conflict/time budget ran out first.  Learned nogoods stay
+    in ``store``, so only a freshly built store reproduces a run.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -330,6 +333,7 @@ def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=
     to None this is exhaustive.  Returns ``(models, stats, status)`` where
     the final status is UNSAT once the space is exhausted, SAT when the
     model limit stopped the search, and UNKNOWN if a budget ran out.
+    Learned and blocking nogoods stay in ``store``, as in ``solve``.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()

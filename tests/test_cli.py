@@ -98,6 +98,26 @@ def test_piped_encode_output_solves_identically(capsys, tmp_path, monkeypatch):
     assert piped_out == direct_out  # byte-for-byte, header carries everything
 
 
+def test_solve_solves_an_edited_encode_output(capsys, tmp_path):
+    path = write(tmp_path, "x.csp", "var x 1 2\n")
+    code, encoded, _ = run(capsys, "encode", "-e", "direct", path)
+    assert code == 0
+    edited = write(tmp_path, "x.lp", encoded + ":- e(x,1).\n:- e(x,2).\n")
+    code, out, _ = run(capsys, "solve", edited)
+    assert (code, out) == (20, "UNSAT\n")
+
+
+@pytest.mark.parametrize("flags", [["-e", "support"], ["--hall-limit", "2"]])
+def test_solve_rejects_encoding_flags_on_encode_output(capsys, tmp_path, flags):
+    path = write(tmp_path, "h.csp", HALL)
+    code, encoded, _ = run(capsys, "encode", "-e", "range", path)
+    assert code == 0
+    encoded_path = write(tmp_path, "h.lp", encoded)
+    code, out, err = run(capsys, "solve", *flags, encoded_path)
+    assert code == 1 and out == ""
+    assert "-e/--hall-limit" in err
+
+
 def test_solve_reads_raw_ground_programs(capsys, tmp_path):
     path = write(tmp_path, "g.lp", "{a; b}.\n:- a, b.\n:- not a, not b.\n")
     code, out, _ = run(capsys, "solve", path)

@@ -25,6 +25,8 @@ from cspasp.program import (
     parse_ground,
     reduct,
 )
+from cspasp.propagation import BodyId, SignedLiteral
+from cspasp.solver import UNSAT, solve
 from .helpers import random_tight_program, store_answer_sets
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -183,6 +185,37 @@ def test_completion_support_nogood():
     program = GroundProgram((ChoiceRule((a,)), NormalRule(c, lits((b, True)))))
     sets = store_answer_sets(program)
     assert sets == {frozenset(), frozenset({a})}
+
+
+def test_integrity_rule_completes_to_one_nogood_over_its_body():
+    program = GroundProgram(
+        (ChoiceRule((a, b)), IntegrityRule(lits((a, True), (b, False))))
+    )
+    store = completion_nogoods(program)
+    assert store.entities == [a, b, BodyId(0)]  # body#0 is the choice's empty body
+    shapes = [{store.literal(code) for code in ng.lits} for ng in store.nogoods]
+    constraint = {SignedLiteral(a, True), SignedLiteral(b, False)}
+    assert shapes.count(constraint) == 1
+    assert not any(constraint < shape for shape in shapes)
+
+
+@pytest.mark.parametrize(
+    "rules", [(IntegrityRule(()),), (ChoiceRule((a,)), IntegrityRule(()))],
+    ids=["alone", "with-choice"],
+)
+def test_empty_integrity_body_is_unsatisfiable(rules):
+    program = GroundProgram(rules)
+    assert brute_force_answer_sets(program) == []
+    assert solve(completion_nogoods(program)).status == UNSAT
+
+
+def test_self_contradictory_integrity_body_never_fires():
+    choice = ChoiceRule((a, b))
+    program = GroundProgram((choice, IntegrityRule(lits((a, True), (a, False)))))
+    want = set(brute_force_answer_sets(program))
+    assert want == set(brute_force_answer_sets(GroundProgram((choice,))))
+    assert len(want) == 4
+    assert store_answer_sets(program) == want
 
 
 def test_completion_rejects_nontight_by_default():

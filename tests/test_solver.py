@@ -140,12 +140,7 @@ def test_runs_are_deterministic():
         assert getattr(first.stats, name) == getattr(second.stats, name)
 
 
-# -- nogoods satisfied at the root -----------------------------------------------------
-
-
-def static_watches(store):
-    nogoods = store.nogoods
-    return sum(1 for wl in store.watches.values() for i in wl if not nogoods[i].learned)
+# -- a solved store stays sound ---------------------------------------------------------
 
 
 def fresh_closure(store, seeds):
@@ -167,7 +162,7 @@ def fresh_closure(store, seeds):
 def check_solved_store(make_store, rng, trials):
     """Solve one copy twice and replay random seeds against a fresh copy.
 
-    The search stops watching nogoods satisfied at its root level; the
+    The search learns into its store and moves watches in place; the
     solved store must still give the same status and derive, from a
     fresh trail, everything the untouched copy derives (or a conflict).
     """
@@ -192,10 +187,9 @@ def check_solved_store(make_store, rng, trials):
     [(lambda: php_store(5), UNSAT), (lambda: qcp_store(6, 30, 0), SAT)],
     ids=["php5", "qcp6"],
 )
-def test_search_unwatches_root_satisfied_nogoods_soundly(make_store, status):
+def test_solved_store_stays_sound(make_store, status):
     solved, untouched, got = check_solved_store(make_store, random.Random(5), 200)
     assert got == status
-    assert static_watches(solved) < static_watches(untouched)
 
     def static(store):
         return [sorted(ng.lits) for ng in store.nogoods if not ng.learned]
@@ -203,7 +197,7 @@ def test_search_unwatches_root_satisfied_nogoods_soundly(make_store, status):
     assert static(solved) == static(untouched)
 
 
-def test_unwatching_keeps_random_programs_sound():
+def test_solved_random_programs_stay_sound():
     rng = random.Random("unwatch")
     for _ in range(150):
         program = random_tight_program(rng)
