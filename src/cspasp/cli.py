@@ -127,9 +127,11 @@ def _cmd_solve(args) -> int:
     text = _read_text(args.input)
     enc = None
     embedded = _split_header(text)
-    if embedded is not None:
+    headered = embedded is not None
+    encoding_flags = args.encoding is not None or args.hall_limit is not None
+    if headered:
         # the program body is what gets solved; the header only decodes
-        if args.encoding is not None or args.hall_limit is not None:
+        if encoding_flags:
             raise ValueError("encode output fixes its encoding; drop -e/--hall-limit")
         instance, kind = embedded
         program = parse_ground(text)
@@ -142,6 +144,8 @@ def _cmd_solve(args) -> int:
                 program = parse_ground(text)
             except ValueError:
                 raise instance_error from None
+            if encoding_flags:
+                raise ValueError("a ground program has no encoding to set; drop -e/--hall-limit")
         else:
             enc = encode(instance, _kind(args))
             program = enc.program
@@ -156,7 +160,7 @@ def _cmd_solve(args) -> int:
         models, stats, status = enumerate_models(store, cfg, limit=limit)
         for i, model in enumerate(models, 1):
             out.append(f"MODEL {i}")
-            out.extend(_model_lines(enc, program, model))
+            out.extend(_model_lines(enc, program, model, headered))
         out.append(f"models = {len(models)}")
         if args.stats:
             out.append(stats.as_text())
@@ -167,7 +171,7 @@ def _cmd_solve(args) -> int:
     result = solve(store, cfg)
     if result.status == SAT:
         out.append("SAT")
-        out.extend(_model_lines(enc, program, result.assignment))
+        out.extend(_model_lines(enc, program, result.assignment, headered))
     else:
         out.append(result.status)
     if args.stats:
@@ -180,12 +184,18 @@ def _cmd_solve(args) -> int:
     return 2
 
 
-def _model_lines(enc, program, assignment):
-    if enc is not None:
+def _model_lines(enc, program, assignment, headered):
+    if enc is None:
+        true = {lit.entity for lit in assignment if lit.truth}
+        return [str(atom) for atom in program.atoms() if atom in true]
+    try:
         values = decode(enc, assignment)
-        return [f"{decl.name} = {values[decl.name]}" for decl in enc.instance.variables]
-    true = {lit.entity for lit in assignment if lit.truth}
-    return [str(atom) for atom in program.atoms() if atom in true]
+    except ValueError as exc:
+        if not headered:
+            raise
+        # an edited body can drop or pin the header's encoding atoms
+        raise ValueError(f"the program body does not match its header: {exc}") from None
+    return [f"{decl.name} = {values[decl.name]}" for decl in enc.instance.variables]
 
 
 # -- check ------------------------------------------------------------------------

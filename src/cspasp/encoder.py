@@ -523,7 +523,7 @@ def _maximal_empty_boxes(sat: np.ndarray) -> np.ndarray:
 
 
 def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
-    """Literals expressing a pruned domain state, ready for a fresh trail.
+    """Literals expressing a pruned domain state, ready to seed a trail.
 
     Removal is relative to the instance's initial domains.  Variables
     with an empty current domain are rejected: express those as a
@@ -546,7 +546,8 @@ def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
         if not current:
             raise ValueError(f"variable {name} has an empty current domain")
         declared = emap.values[name]
-        removed = [i for i in declared if i not in set(current)]
+        kept = set(current)
+        removed = [i for i in declared if i not in kept]
         if kind in ("direct", "support"):
             for i in removed:
                 emit(SignedLiteral(emap.e_atom(name, i), False))
@@ -608,9 +609,9 @@ def pruned_domains(enc: Encoding, assignment) -> DomainState:
 def decode(enc: Encoding, assignment) -> dict[str, int]:
     """Extract the CSP solution from a total assignment.
 
-    Raises ValueError when the assignment does not determine a single
-    value for some variable -- that would mean the encoding is broken,
-    so it fails loudly.
+    Raises ValueError, naming the variable, when the assignment does not
+    determine a single value for it.  On a model of the encoding's own
+    program that would mean the encoding is broken, so it fails loudly.
     """
     emap = enc.emap
     kind = enc.kind.name
@@ -642,35 +643,68 @@ def decode(enc: Encoding, assignment) -> dict[str, int]:
         picks = sorted(set(chosen[name]))
         if len(picks) != 1:
             raise ValueError(
-                f"assignment determines {len(picks)} values for {name}; encoding bug"
+                f"assignment determines {len(picks)} values for variable {name}"
             )
         solution[name] = emap.original(picks[0])
     return solution
 
 
+# the atom that pruned_domains reads back under each encoding
+_READBACK_ATOM = {"direct": "e", "support": "e", "range": "r", "bound": "b"}
+
+
 class EncodingPropagator:
     """Unit propagation harness over an encoding's completion nogoods.
 
-    The program is normalized and completed once; each propagate() call
-    runs from a fresh trail so states can be replayed cheaply.
+    The program is normalized and completed once, and one trail keeps
+    the root fixpoint (the unit nogoods propagated at level 0).  Each
+    propagate() call seeds its state at level 1 above that root,
+    propagates, reads back only the encoding's value atoms and
+    backjumps to the root, so the root is derived once per propagator.
     """
 
     def __init__(self, enc: Encoding, method: str = "counter"):
         self.enc = enc
         self.store = completion_nogoods(normalize_cardinality(enc.program, method))
+        self.trail = Trail(self.store)
+        self.root_conflict = unit_propagate(self.store, self.trail) is not None
+        kind = enc.kind.name
+        name = _READBACK_ATOM[kind]
+        # of the range atoms, pruned_domains reads only the singletons r(v,i,i)
+        self._readback = [
+            (idx, entity)
+            for idx, entity in enumerate(self.store.entities)
+            if isinstance(entity, Atom)
+            and entity.name == name
+            and (kind != "range" or entity.args[1] == entity.args[2])
+        ]
 
     def propagate(self, state: DomainState) -> DomainState | None:
         """UP fixpoint from the state's seed; None signals a conflict."""
-        trail = Trail(self.store)
-        for lit in seed_assignment(self.enc, state):
-            idx = self.store.index_of(lit.entity)
-            if idx is None:
-                raise RuntimeError(f"seed literal over unknown atom {lit.entity!r}")
-            code = 2 * idx + (0 if lit.truth else 1)
-            if trail.falsified(code):
-                return None
-            if not trail.holds(code):
-                trail.assign(code, None)
-        if unit_propagate(self.store, trail) is not None:
+        seeds = seed_assignment(self.enc, state)
+        if self.root_conflict:
             return None
-        return pruned_domains(self.enc, trail.assignment())
+        store = self.store
+        trail = self.trail
+        trail.new_level()
+        try:
+            for lit in seeds:
+                idx = store.index_of(lit.entity)
+                if idx is None:
+                    raise RuntimeError(f"seed literal over unknown atom {lit.entity!r}")
+                code = 2 * idx + (0 if lit.truth else 1)
+                if trail.falsified(code):
+                    return None
+                if not trail.holds(code):
+                    trail.assign(code, None)
+            if unit_propagate(store, trail) is not None:
+                return None
+            values = trail.values
+            readback = [
+                SignedLiteral(atom, values[idx] == 1)
+                for idx, atom in self._readback
+                if values[idx]
+            ]
+            return pruned_domains(self.enc, readback)
+        finally:
+            trail.backjump(0)

@@ -199,8 +199,12 @@ class Trail:
         self.pos_of[idx] = len(self.codes)
         self.codes.append(code)
 
-    def decide(self, code: int) -> None:
+    def new_level(self) -> None:
+        """Open a decision level; the next assignment starts it."""
         self.level_starts.append(len(self.codes))
+
+    def decide(self, code: int) -> None:
+        self.new_level()
         self.assign(code, None)
 
     def backjump(self, level: int) -> list[int]:

@@ -213,7 +213,10 @@ class _Search:
         cap = int(self.cfg.learned_cap_factor * max(100, store.n_static))
         if self.n_learned_live <= cap:
             return
-        locked = {r for r in self.trail.reason_of if r is not None}
+        # only reasons of literals still on the trail are in use; reason_of
+        # keeps stale entries for entities that were unassigned since
+        reason_of = self.trail.reason_of
+        locked = {reason_of[c >> 1] for c in self.trail.codes}
         victims = [
             i
             for i, ng in enumerate(store.nogoods)

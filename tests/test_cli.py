@@ -125,6 +125,29 @@ def test_solve_reads_raw_ground_programs(capsys, tmp_path):
     assert out in ("SAT\na\n", "SAT\nb\n")  # exactly one atom survives
 
 
+@pytest.mark.parametrize(
+    "body, count", [("a.\n", 0), ("e(x,1).\ne(x,2).\n", 2)], ids=["no-value", "two-values"]
+)
+def test_solve_reports_a_body_that_does_not_match_its_header(capsys, tmp_path, body, count):
+    path = write(tmp_path, "x.csp", "var x 1 2\n")
+    code, encoded, _ = run(capsys, "encode", "-e", "direct", path)
+    assert code == 0
+    header = encoded[: encoded.index("% end\n") + len("% end\n")]
+    mismatched = write(tmp_path, "x.lp", header + body)
+    code, out, err = run(capsys, "solve", mismatched)
+    assert code == 1 and out == ""
+    assert "does not match its header" in err
+    assert f"determines {count} values for variable x" in err
+
+
+@pytest.mark.parametrize("flags", [["-e", "range"], ["--hall-limit", "3"]])
+def test_solve_rejects_encoding_flags_on_a_ground_program(capsys, tmp_path, flags):
+    path = write(tmp_path, "g.lp", "{a; b}.\n:- a, b.\n")
+    code, out, err = run(capsys, "solve", *flags, path)
+    assert code == 1 and out == ""
+    assert "-e/--hall-limit" in err
+
+
 def test_solve_enumerate_lists_models(capsys, tmp_path):
     path = write(tmp_path, "t.csp", TINY)
     code, out, _ = run(capsys, "solve", "--enumerate", "0", path)

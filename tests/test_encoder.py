@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cspasp import CapExceeded
+from cspasp import CapExceeded, encoder
 from cspasp.benchmarks import gen_php, random_instance, random_state
 from cspasp.csp import (
     Constraint,
@@ -39,7 +39,7 @@ from cspasp.program import (
     is_tight,
     normalize_cardinality,
 )
-from cspasp.propagation import SignedLiteral
+from cspasp.propagation import SignedLiteral, propagate_naive
 from cspasp.solver import enumerate_models
 
 DATA = Path(__file__).parent / "data"
@@ -226,11 +226,25 @@ def test_hall_size_cap_keeps_solutions():
         assert (models, status) == ([], "UNSAT"), hl
 
 
+def with_empty_domain(instance):
+    """An invalid state: the instance's first variable has no value left."""
+    domains = dict(instance.initial_state().domains)
+    domains[instance.variables[0].name] = ()
+    return DomainState(domains)
+
+
 def test_root_wipeout_returns_none():
     php3 = gen_php(3)
+    rng = random.Random("wipeout")
     for name in ("range", "bound"):
-        enc = encode(php3, EncodingKind(name))
-        assert EncodingPropagator(enc).propagate(php3.initial_state()) is None
+        prop = EncodingPropagator(encode(php3, EncodingKind(name)))
+        assert prop.root_conflict
+        assert prop.propagate(php3.initial_state()) is None
+        for _ in range(5):
+            assert prop.propagate(random_state(rng, php3)) is None
+        # an invalid state is still rejected, not answered with the root's conflict
+        with pytest.raises(ValueError):
+            prop.propagate(with_empty_domain(php3))
 
 
 def test_value_translation_is_weaker_than_arc_consistency():
@@ -254,8 +268,8 @@ def test_supported_value_translation_matches_arc_consistency_here():
 
 @pytest.mark.parametrize("kind_name", ENCODING_NAMES)
 def test_reused_propagator_matches_a_fresh_one_per_state(kind_name):
-    # seeds sit at the root level of each call's own trail, so a call must
-    # leave the shared store exactly as watched as it found it
+    # seeds sit at level 1 above the propagator's one root trail, so a call
+    # must leave that trail and the shared store's watches fit for the next
     rng = random.Random(f"reuse:{kind_name}")
     for _ in range(10):
         inst = random_instance(rng)
@@ -264,6 +278,79 @@ def test_reused_propagator_matches_a_fresh_one_per_state(kind_name):
         for _ in range(10):
             state = random_state(rng, inst)
             assert reused.propagate(state) == EncodingPropagator(enc).propagate(state)
+
+
+def naive_pruning(enc, state):
+    """pruned_domains of propagate_naive over a freshly completed store."""
+    store = completion_nogoods(normalize_cardinality(enc.program))
+    nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
+    derived, status = propagate_naive(nogoods, seed_assignment(enc, state))
+    return None if status == "conflict" else pruned_domains(enc, derived)
+
+
+@pytest.mark.parametrize("kind_name", ENCODING_NAMES)
+def test_propagator_matches_naive_propagation(kind_name):
+    rng = random.Random(f"naive:{kind_name}")
+    conflicts = 0
+    for _ in range(10):
+        inst = random_instance(rng, max_vars=3, max_dom=3)
+        enc = encode(inst, EncodingKind(kind_name))
+        prop = EncodingPropagator(enc)
+        for _ in range(5):
+            state = random_state(rng, inst)
+            want = naive_pruning(enc, state)
+            assert prop.propagate(state) == want, (inst, state)
+            conflicts += want is None
+    assert conflicts >= 1  # the conflict path was compared too
+
+
+def fails_midway(prop, state):
+    """propagate() with unit propagation failing once it reached its fixpoint.
+
+    Returns whether the failure struck with literals above the root.
+    """
+    real = encoder.unit_propagate
+    above_root = []
+
+    def propagate_then_fail(store, trail):
+        real(store, trail)
+        above_root.append(trail.level == 1 and len(trail.codes) > trail.level_starts[1])
+        raise ValueError("injected failure")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "unit_propagate", propagate_then_fail)
+        try:
+            prop.propagate(state)
+        except ValueError:
+            pass
+    return above_root == [True]
+
+
+@pytest.mark.parametrize("kind_name", ENCODING_NAMES)
+def test_propagator_returns_to_its_root_after_a_conflict_or_an_error(kind_name):
+    rng = random.Random(f"recover:{kind_name}")
+    conflicts = failures = 0
+    for _ in range(15):
+        inst = random_instance(rng, max_vars=4, max_dom=4)
+        enc = encode(inst, EncodingKind(kind_name))
+        prop = EncodingPropagator(enc)
+        root = list(prop.trail.codes)
+
+        def back_at_root_and_agrees():
+            assert (prop.trail.level, prop.trail.codes) == (0, root)
+            state = random_state(rng, inst)
+            assert prop.propagate(state) == EncodingPropagator(enc).propagate(state)
+
+        for _ in range(5):
+            if prop.propagate(random_state(rng, inst)) is None:
+                conflicts += 1
+                back_at_root_and_agrees()
+            with pytest.raises(ValueError):
+                prop.propagate(with_empty_domain(inst))
+            back_at_root_and_agrees()
+            failures += fails_midway(prop, random_state(rng, inst))
+            back_at_root_and_agrees()
+    assert conflicts >= 1 and failures >= 1
 
 
 def test_pruned_domains_reads_back_partial_assignments():

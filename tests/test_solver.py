@@ -23,6 +23,7 @@ from cspasp.solver import (
     UNSAT,
     SolverConfig,
     Stats,
+    _Search,
     enumerate_models,
     luby,
     solve,
@@ -258,6 +259,26 @@ def test_learned_nogoods_only_shrink_the_search():
     plain = solve(php_store(5))
     assert plain.stats.learned >= 1
     assert plain.stats.conflicts >= plain.stats.learned
+
+
+def test_reduction_spares_only_reasons_on_the_live_trail():
+    store = NogoodStore()
+    stale, idle, live = (
+        store.add([sl(f"{name}{k}", True) for k in range(3)], learned=True)
+        for name in ("s", "i", "l")
+    )
+    store.nogoods[idle].activity = 1.0  # so the halving deletes the stale one
+    # learned cap: int(0.01 * max(100, 0 static nogoods)) = 1 < 3 learned
+    search = _Search(store, SolverConfig(learned_cap_factor=0.01))
+    trail = search.trail
+    trail.new_level()
+    trail.assign(store.code(sl("s0", False)), stale)
+    trail.backjump(0)  # "s0" keeps its reason entry, but is unassigned
+    trail.new_level()
+    trail.assign(store.code(sl("l0", False)), live)
+    search.reduce_learned()
+    deleted = [store.nogoods[i].deleted for i in (stale, idle, live)]
+    assert deleted == [True, False, False]
 
 
 # -- budgets -------------------------------------------------------------------------
