@@ -23,7 +23,7 @@ from .csp import (
 )
 from .encoder import EncodingKind, encode
 from .errors import CapExceeded
-from .program import completion_nogoods, normalize_cardinality
+from .program import DEFAULT_CARDINALITY_METHOD, completion_nogoods, normalize_cardinality
 from .solver import SolverConfig, solve
 
 QEP_AXIOMS = ("QG3", "QG4", "QG5", "QG6", "QG7")
@@ -400,7 +400,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def run_suite(specs, kinds, method: str = "counter",
+def run_suite(specs, kinds, method: str = DEFAULT_CARDINALITY_METHOD,
               timeout_s: float | None = None) -> BenchReport:
     """Encode and solve every (spec, kind) pair sequentially.
 

@@ -34,6 +34,8 @@ from .encoder import (
 )
 from .errors import CapExceeded
 from .program import (
+    CARDINALITY_METHODS,
+    DEFAULT_CARDINALITY_METHOD,
     completion_nogoods,
     emit_ground,
     normalize_cardinality,
@@ -323,6 +325,13 @@ def _add_encoding_flags(sub, multiple: bool = False) -> None:
                           "(range/bound only)")
 
 
+def _add_method_flag(sub) -> None:
+    sub.add_argument("--method", choices=CARDINALITY_METHODS,
+                     default=DEFAULT_CARDINALITY_METHOD,
+                     help="cardinality rules: native counting propagation or a "
+                          "counter/binomial expansion (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cspasp", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -338,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("solve", help="solve an instance or ground program")
     p.add_argument("input", help="instance file, encode output, or ground program")
     _add_encoding_flags(p)
-    p.add_argument("--method", choices=("counter", "binomial"), default="counter",
-                   help="cardinality normalization method")
+    _add_method_flag(p)
     p.add_argument("--enumerate", type=int, default=None, metavar="K",
                    help="enumerate up to K models (0 or negative: no bound)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_encoding_flags(p)
     p.add_argument("--level", choices=LEVELS, default=None,
                    help="oracle level (default depends on the encoding)")
-    p.add_argument("--method", choices=("counter", "binomial"), default="counter")
+    _add_method_flag(p)
     p.add_argument("--trials", type=int, default=100,
                    help="random instance/state pairs to compare")
     p.add_argument("--seed", type=int, default=0)
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", action="append", required=True, metavar="FAMILY:K=V,...",
                    help="e.g. php:n=8 or qcp:order=10,fill=30,seed=1; repeatable")
     _add_encoding_flags(p, multiple=True)
-    p.add_argument("--method", choices=("counter", "binomial"), default="counter")
+    _add_method_flag(p)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--csv", default=None, metavar="PATH", help="also write CSV here")
     p.add_argument("-o", "--output", default=None)

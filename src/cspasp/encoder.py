@@ -32,6 +32,7 @@ from .csp import (
 )
 from .errors import CapExceeded
 from .program import (
+    DEFAULT_CARDINALITY_METHOD,
     Atom,
     ChoiceRule,
     GroundProgram,
@@ -663,7 +664,7 @@ class EncodingPropagator:
     backjumps to the root, so the root is derived once per propagator.
     """
 
-    def __init__(self, enc: Encoding, method: str = "counter"):
+    def __init__(self, enc: Encoding, method: str = DEFAULT_CARDINALITY_METHOD):
         self.enc = enc
         self.store = completion_nogoods(normalize_cardinality(enc.program, method))
         self.trail = Trail(self.store)

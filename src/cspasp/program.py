@@ -19,6 +19,12 @@ from .propagation import BodyId, NogoodStore
 
 BINOMIAL_CAP = 10 ** 6
 
+# cardinality-rule treatments, the default first: ``native`` keeps the
+# rules for the store's counting propagator, ``counter`` and ``binomial``
+# are the clausal expansions kept as references for it
+CARDINALITY_METHODS = ("native", "counter", "binomial")
+DEFAULT_CARDINALITY_METHOD = CARDINALITY_METHODS[0]
+
 
 class Atom:
     """Interned ground atom: ``name`` or ``name(arg, ...)``.
@@ -190,16 +196,21 @@ class GroundProgram:
 # -- cardinality normalization ----------------------------------------------
 
 
-def normalize_cardinality(program: GroundProgram, method: str = "counter") -> GroundProgram:
-    """Expand every cardinality rule into normal/integrity rules.
+def normalize_cardinality(program: GroundProgram,
+                          method: str = DEFAULT_CARDINALITY_METHOD) -> GroundProgram:
+    """Prepare cardinality rules for completion under ``method``.
 
-    ``counter`` builds the usual O(n*k) counting ladder over fresh
+    ``native`` returns the program as it is: completion hands each
+    cardinality rule to the store's counting propagator.  ``counter``
+    expands every rule into the usual O(n*k) counting ladder over fresh
     ``_cnt`` atoms; ``binomial`` posts one integrity rule per k-subset
     (capped, since that count explodes).  Solutions projected to the
-    original atoms agree between the two.
+    original atoms agree among the three.
     """
-    if method not in ("counter", "binomial"):
+    if method not in CARDINALITY_METHODS:
         raise ValueError(f"unknown normalization method: {method!r}")
+    if method == "native":
+        return program
     out: list[Rule] = []
     for ridx, rule in enumerate(program.rules):
         if not isinstance(rule, CardinalityRule):
@@ -331,10 +342,21 @@ def is_answer_set(program: GroundProgram, candidate) -> bool:
     """Reduct-and-least-model test.
 
     ``candidate`` lists the source atoms only; the complement atoms
-    introduced for choice rules are filled in automatically.  Cardinality
-    rules must be normalized away beforehand.
+    introduced for choice rules are filled in automatically.  A
+    cardinality rule, being a constraint, is checked by counting its
+    literals that hold in the candidate and is then left out of the
+    reduct.
     """
     X = set(candidate)
+    rules = []
+    for rule in program.rules:
+        if isinstance(rule, CardinalityRule):
+            held = sum((lit.atom in X) == lit.positive for lit in rule.literals)
+            if held >= rule.bound:
+                return False
+        else:
+            rules.append(rule)
+    program = GroundProgram(rules)
     expanded = expand_choices(program)
     for ridx, rule in enumerate(program.rules):
         if isinstance(rule, ChoiceRule):
@@ -390,6 +412,8 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
     force their head.  Atoms that head no rule at all end up with the
     unit {T a}.  An integrity rule ``:- B`` gives the one nogood B; only
     ``:- .``, with no literal to put in it, gets a body beta and {T beta}.
+    A cardinality rule ``:- k {l1..ln}`` becomes the store's cardinality
+    constraint over the literals' codes (see ``add_cardinality``).
 
     Completion characterizes answer sets only for tight programs, hence
     the default tightness check.
@@ -438,8 +462,10 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
                 add(body_codes(rule.body))
             else:
                 add([2 * intern_body(())])
+        elif isinstance(rule, CardinalityRule):
+            store.add_cardinality(rule.bound, body_codes(rule.literals))
         else:
-            raise TypeError("normalize cardinality rules away before completion")
+            raise TypeError(f"not a ground rule: {rule!r}")
 
     for atom in atoms:
         aidx = atom_idx[atom]

@@ -5,6 +5,12 @@ arbitrary hashable objects (atoms, rule bodies, plain test strings).
 The hot loops run on integer literal codes -- ``2*index`` for "entity is
 true", ``2*index + 1`` for "entity is false" -- and never touch the
 entity objects themselves.
+
+Besides nogoods the store holds cardinality constraints ``:- k {l1..ln}``
+(fewer than k of the literals may hold), propagated by counting rather
+than through a clausal expansion.  Their ids are ``~j`` for the j-th
+constraint, so every id below zero names a cardinality constraint, and
+their reasons are built on demand by ``NogoodStore.lits_of``.
 """
 
 from __future__ import annotations
@@ -54,12 +60,21 @@ class Nogood:
         return "Nogood(%r%s)" % (self.lits, ", learned" if self.learned else "")
 
 
+class Cardinality(NamedTuple):
+    """``:- bound {lits}``: fewer than ``bound`` of the literal codes may hold."""
+
+    bound: int
+    lits: tuple[int, ...]
+
+
 class NogoodStore:
     """Nogoods over interned entities, two watched literals per nogood.
 
     Static nogoods are deduplicated structurally.  Learned nogoods are
     installed verbatim so the caller controls watch order (position 0
     should be the literal that is unit under the current assignment).
+    Cardinality constraints sit beside the nogoods, watched on every
+    literal; ``nogoods`` and ``n_static`` count nogoods only.
     """
 
     def __init__(self):
@@ -70,6 +85,8 @@ class NogoodStore:
         self.watches: dict[int, list[int]] = {}
         self._static_keys: dict[tuple[int, ...], int] = {}
         self.n_static = 0
+        self.cardinalities: list[Cardinality] = []
+        self.card_watches: dict[int, list[int]] = {}
 
     # -- entities and codes ------------------------------------------------
 
@@ -140,6 +157,49 @@ class NogoodStore:
             self.n_static += 1
         return ng_id
 
+    def add_cardinality(self, k: int, codes) -> int | None:
+        """Install ``:- k {codes}``; returns its id ``~j``.
+
+        Nothing propagates a constraint with k = 1 (no literal needs to
+        hold before the rest are forced), so it goes in as one unit
+        nogood per literal; one with k above the number of distinct
+        literals can never be violated.  Both return None.
+        """
+        lits = tuple(sorted(set(codes)))
+        if k < 1:
+            raise ValueError("cardinality bound must be at least 1")
+        if k > len(lits):
+            return None
+        if k == 1:
+            for c in lits:
+                self.add_static_codes((c,))
+            return None
+        j = len(self.cardinalities)
+        self.cardinalities.append(Cardinality(k, lits))
+        for c in lits:
+            self.card_watches.setdefault(c, []).append(j)
+        return ~j
+
+    def lits_of(self, ng_id: int, trail: Trail, implied: int | None = None) -> list[int]:
+        """The literal codes of nogood or cardinality id ``ng_id``.
+
+        A nogood gives its stored literals.  A cardinality constraint
+        gives the nogood it stands for on ``trail``: as the reason for the
+        trail code ``implied``, the literals that hold earlier on the
+        trail plus ``implied ^ 1``; as a conflict (``implied`` None), the
+        literals that hold.
+        """
+        if ng_id >= 0:
+            return self.nogoods[ng_id].lits
+        lits = self.cardinalities[~ng_id].lits
+        values = trail.values
+        held = [c for c in lits if values[c >> 1] == 1 + (c & 1)]
+        if implied is None:
+            return held
+        pos_of = trail.pos_of
+        before = pos_of[implied >> 1]
+        return [implied ^ 1] + [c for c in held if pos_of[c >> 1] < before]
+
     def delete(self, ng_id: int) -> None:
         """Mark a learned nogood deleted; watch lists are cleaned lazily."""
         ng = self.nogoods[ng_id]
@@ -152,8 +212,9 @@ class Trail:
     """Assignment sequence with decision levels and reasons.
 
     Backed by flat per-entity arrays so the propagation loop stays cheap.
-    ``reason_of`` holds the nogood id that implied an entity, or None for
-    decisions and externally seeded literals.
+    ``reason_of`` holds the id (a nogood's, or ``~j`` for a cardinality
+    constraint) that implied an entity, or None for decisions and
+    externally seeded literals.
     """
 
     def __init__(self, store: NogoodStore):
@@ -229,22 +290,39 @@ class Trail:
 def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     """Run two-watched unit propagation to fixpoint.
 
-    Returns the id of a violated nogood, or None on success.  Implied
-    literals are appended to the trail with their reason recorded.
-    Pending unit nogoods are applied first whenever the trail is at the
-    root level.
+    Returns the id of a violated nogood or cardinality constraint, or
+    None on success.  Implied literals are appended to the trail with
+    their reason recorded.  Pending unit nogoods are applied first
+    whenever the trail is at the root level.
+
+    A cardinality constraint is visited each time one of its literals
+    comes to hold: it counts the literals that hold, reports a conflict
+    at k of them and, at k-1, forces every unassigned literal false.
     """
     nogoods = store.nogoods
-    values = trail.values
-    codes = trail.codes
     watches = store.watches
+    cards = store.cardinalities
+    card_watches = store.card_watches
+    values = trail.values
+    level_of = trail.level_of
+    reason_of = trail.reason_of
+    pos_of = trail.pos_of
+    codes = trail.codes
+    level = len(trail.level_starts) - 1
 
-    if trail.units_seen < len(store.units) and trail.level == 0:
+    # implied literals are appended inline (as Trail.assign would, without
+    # its check): each entity was just read as unassigned
+    if trail.units_seen < len(store.units) and level == 0:
         for ng_id in store.units[trail.units_seen:]:
             c = nogoods[ng_id].lits[0]
-            v = values[c >> 1]
+            idx = c >> 1
+            v = values[idx]
             if v == 0:
-                trail.assign(c ^ 1, ng_id)
+                values[idx] = 2 - (c & 1)
+                level_of[idx] = 0
+                reason_of[idx] = ng_id
+                pos_of[idx] = len(codes)
+                codes.append(c ^ 1)
             elif v == 1 + (c & 1):
                 return ng_id
         trail.units_seen = len(store.units)
@@ -253,6 +331,29 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     while head < len(codes):
         sigma = codes[head]
         head += 1
+        cw = card_watches.get(sigma)
+        if cw:
+            for j in cw:
+                bound, lits = cards[j]
+                held = 0
+                for c in lits:
+                    if values[c >> 1] == 1 + (c & 1):
+                        held += 1
+                if held < bound - 1:
+                    continue
+                if held >= bound:
+                    trail.head = head
+                    return ~j
+                for c in lits:
+                    idx = c >> 1
+                    # re-read: forcing "a" false makes a "not a" of the
+                    # same constraint hold, and the next visit counts it
+                    if values[idx] == 0:
+                        values[idx] = 2 - (c & 1)
+                        level_of[idx] = level
+                        reason_of[idx] = ~j
+                        pos_of[idx] = len(codes)
+                        codes.append(c ^ 1)
         wl = watches.get(sigma)
         if not wl:
             continue
@@ -291,7 +392,12 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
             wl[write] = ng_id
             write += 1
             if ov == 0:
-                trail.assign(other ^ 1, ng_id)
+                idx = other >> 1
+                values[idx] = 2 - (other & 1)
+                level_of[idx] = level
+                reason_of[idx] = ng_id
+                pos_of[idx] = len(codes)
+                codes.append(other ^ 1)
             else:
                 # every literal holds: violation
                 wl[write:] = wl[i:]
@@ -391,10 +497,14 @@ def propagate_naive(nogoods, assignment) -> tuple[list[SignedLiteral], str]:
 
 
 def dump_nogoods(store: NogoodStore) -> str:
-    """Text dump: one nogood per line, literals in code order."""
+    """Text dump: one nogood per line, literals in code order, then one
+    ``:- k {l1; ...; ln}`` line per cardinality constraint."""
     lines = []
     for ng in store.nogoods:
         if ng.deleted:
             continue
         lines.append(", ".join(str(store.literal(c)) for c in sorted(ng.lits)))
+    for bound, lits in store.cardinalities:
+        names = "; ".join(str(store.literal(c)) for c in lits)
+        lines.append(f":- {bound} {{{names}}}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -34,7 +34,9 @@ class SolverConfig:
     learned_cap_factor: float = 10.0  # learned limit as a multiple of static size
     max_conflicts: int | None = None
     timeout_s: float | None = None
-    learn_hook: object = None  # testing hook: f(store, trail, conflict_id, codes, level)
+    # testing hook: f(store, trail, conflict_id, codes, level); the conflict's
+    # literals are store.lits_of(conflict_id, trail)
+    learn_hook: object = None
 
     def __post_init__(self):
         if self.heuristic not in ("activity", "lexicographic"):
@@ -116,7 +118,7 @@ def analyze(store: NogoodStore, trail: Trail, conflict_id: int):
             elif lvl > 0:
                 lower.append(c)
 
-    absorb(store.nogoods[conflict_id].lits, skip=-1)
+    absorb(store.lits_of(conflict_id, trail), skip=-1)
     p = len(codes) - 1
     while True:
         while codes[p] >> 1 not in seen:
@@ -127,7 +129,7 @@ def analyze(store: NogoodStore, trail: Trail, conflict_id: int):
         if counter == 0:
             uip = c
             break
-        absorb(store.nogoods[reason_of[c >> 1]].lits, skip=c ^ 1)
+        absorb(store.lits_of(reason_of[c >> 1], trail, c), skip=c ^ 1)
 
     lower.sort(key=lambda c: -trail.pos_of[c >> 1])
     learned = [uip] + lower
@@ -214,7 +216,8 @@ class _Search:
         if self.n_learned_live <= cap:
             return
         # only reasons of literals still on the trail are in use; reason_of
-        # keeps stale entries for entities that were unassigned since
+        # keeps stale entries for entities that were unassigned since (a
+        # cardinality reason is below zero and never a victim's id)
         reason_of = self.trail.reason_of
         locked = {reason_of[c >> 1] for c in self.trail.codes}
         victims = [
@@ -266,9 +269,8 @@ class _Search:
                     self.cfg.learn_hook(store, trail, conflict, learned, jump)
                 for idx in seen:
                     self.bump_entity(idx)
-                ng = store.nogoods[conflict]
-                if ng.learned:
-                    ng.activity += self.ng_bump
+                if conflict >= 0 and store.nogoods[conflict].learned:
+                    store.nogoods[conflict].activity += self.ng_bump
                 self.decay()
                 self.on_backjump(trail.backjump(jump))
                 ng_id = store.add_codes(learned, learned=True)
@@ -300,13 +302,17 @@ class _Search:
 
 
 def _verify_static(store: NogoodStore, trail: Trail) -> None:
-    """Independent pass: no static nogood may be contained in the model."""
+    """Independent pass: no static nogood may be contained in the model,
+    and no cardinality constraint may have its bound of literals hold."""
     holds = trail.holds
     for ng in store.nogoods:
         if ng.learned or ng.deleted:
             continue
         if all(holds(c) for c in ng.lits):
             raise RuntimeError("model violates a static nogood; solver bug")
+    for j, card in enumerate(store.cardinalities):
+        if len(store.lits_of(~j, trail)) >= card.bound:
+            raise RuntimeError("model violates a cardinality constraint; solver bug")
 
 
 def solve(store: NogoodStore, cfg: SolverConfig | None = None) -> SolveResult:

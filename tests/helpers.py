@@ -7,6 +7,7 @@ import random
 
 from cspasp import (
     Atom,
+    CardinalityRule,
     ChoiceRule,
     GroundProgram,
     IntegrityRule,
@@ -61,6 +62,46 @@ def random_tight_program(rng: random.Random, n_atoms: int = 5) -> GroundProgram:
             body = tuple(Lit(a, rng.random() < 0.5) for a in chosen)
             rules.append(IntegrityRule(body))
     return GroundProgram(tuple(rules))
+
+
+def random_cardinality_rule(rng: random.Random, atoms) -> CardinalityRule:
+    """``:- k {...}`` over a random subset of ``atoms``, mixed polarities.
+
+    About one rule in four holds an atom together with its negation; k
+    ranges over 1..n, so k = 1 and k = n both occur.
+    """
+    chosen = rng.sample(atoms, rng.randint(1, min(4, len(atoms))))
+    lits = [Lit(a, rng.random() < 0.5) for a in chosen]
+    if rng.random() < 0.25:
+        lits.append(Lit(lits[0].atom, not lits[0].positive))
+    rng.shuffle(lits)
+    return CardinalityRule(rng.randint(1, len(lits)), tuple(lits))
+
+
+def check_trail(store, trail) -> None:
+    """Every literal on the trail is assigned once and explained soundly.
+
+    A literal with a reason must be the complement of one of the reason's
+    literals, and every other literal of the reason must hold and sit
+    earlier on the trail; a cardinality reason must also show bound-1
+    literals that hold.
+    """
+    seen = set()
+    for pos, code in enumerate(trail.codes):
+        idx = code >> 1
+        assert idx not in seen, f"entity {store.entities[idx]!r} assigned twice"
+        seen.add(idx)
+        assert trail.holds(code) and trail.pos_of[idx] == pos
+        reason = trail.reason_of[idx]
+        if reason is None:
+            continue
+        lits = store.lits_of(reason, trail, code)
+        assert code ^ 1 in lits
+        for c in lits:
+            if c != code ^ 1:
+                assert trail.holds(c) and trail.pos_of[c >> 1] < pos, (code, reason, lits)
+        if reason < 0:
+            assert len(lits) >= store.cardinalities[~reason].bound
 
 
 def all_subsets(atoms):

@@ -179,6 +179,19 @@ def test_solve_emit_nogoods(capsys, tmp_path):
     assert "e(x,1)" in text and "\n" in text
 
 
+@pytest.mark.parametrize("method", ["native", "counter", "binomial"])
+def test_solve_accounts_for_cardinality_rules_under_every_method(capsys, tmp_path, method):
+    src = write(tmp_path, "tiny.csp", TINY)
+    dump = tmp_path / "ng.txt"
+    code, out, _ = run(capsys, "solve", "-e", "support", "--method", method,
+                       "--emit-nogoods", str(dump), src)
+    assert code == 10 and out.startswith("SAT")
+    counted = [line for line in dump.read_text().splitlines() if line.startswith(":- 2 {")]
+    # native keeps the at-most-one rules (one per variable, one per value)
+    assert len(counted) == (4 if method == "native" else 0)
+    assert ("_cnt" in dump.read_text()) == (method == "counter")
+
+
 # -- errors ----------------------------------------------------------------------
 
 

@@ -42,6 +42,8 @@ from cspasp.program import (
 from cspasp.propagation import SignedLiteral, propagate_naive
 from cspasp.solver import enumerate_models
 
+from .helpers import check_trail
+
 DATA = Path(__file__).parent / "data"
 
 HALL_WINDOW = """\
@@ -281,27 +283,44 @@ def test_reused_propagator_matches_a_fresh_one_per_state(kind_name):
 
 
 def naive_pruning(enc, state):
-    """pruned_domains of propagate_naive over a freshly completed store."""
-    store = completion_nogoods(normalize_cardinality(enc.program))
+    """pruned_domains of propagate_naive over a freshly completed store,
+    its cardinality rules expanded by the counter ladder."""
+    store = completion_nogoods(normalize_cardinality(enc.program, "counter"))
     nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
     derived, status = propagate_naive(nogoods, seed_assignment(enc, state))
     return None if status == "conflict" else pruned_domains(enc, derived)
 
 
+encoder_unit_propagate = encoder.unit_propagate
+
+
+def propagate_then_check_trail(store, trail):
+    conflict = encoder_unit_propagate(store, trail)
+    check_trail(store, trail)
+    return conflict
+
+
 @pytest.mark.parametrize("kind_name", ENCODING_NAMES)
-def test_propagator_matches_naive_propagation(kind_name):
+def test_propagator_matches_naive_propagation(kind_name, monkeypatch):
+    # the default (native) propagator against the counter-ladder propagator
+    # and the naive scanner over the counter store, every trail checked
+    monkeypatch.setattr(encoder, "unit_propagate", propagate_then_check_trail)
     rng = random.Random(f"naive:{kind_name}")
-    conflicts = 0
+    conflicts = counted = 0
     for _ in range(10):
         inst = random_instance(rng, max_vars=3, max_dom=3)
         enc = encode(inst, EncodingKind(kind_name))
-        prop = EncodingPropagator(enc)
+        native = EncodingPropagator(enc)
+        counter = EncodingPropagator(enc, "counter")
+        counted += bool(native.store.cardinalities)
         for _ in range(5):
             state = random_state(rng, inst)
             want = naive_pruning(enc, state)
-            assert prop.propagate(state) == want, (inst, state)
+            assert native.propagate(state) == want, (inst, state)
+            assert counter.propagate(state) == want, (inst, state)
             conflicts += want is None
     assert conflicts >= 1  # the conflict path was compared too
+    assert counted >= 5  # and native counting was in play
 
 
 def fails_midway(prop, state):

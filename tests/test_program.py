@@ -228,10 +228,27 @@ def test_completion_rejects_nontight_by_default():
     assert store is not None
 
 
-def test_completion_rejects_cardinality_rules():
-    program = GroundProgram((CardinalityRule(1, lits((a, True))),))
+def test_completion_installs_cardinality_rules_natively():
+    program = GroundProgram((
+        ChoiceRule((a, b, c)),
+        CardinalityRule(2, lits((a, True), (b, False), (c, True))),
+        CardinalityRule(1, lits((c, True),)),
+    ))
+    store = completion_nogoods(program)
+    # k >= 2 is one counting constraint over the literals' codes, no nogood
+    ((bound, codes),) = store.cardinalities
+    assert bound == 2
+    constraint = {SignedLiteral(a, True), SignedLiteral(b, False), SignedLiteral(c, True)}
+    assert {store.literal(code) for code in codes} == constraint
+    # k = 1 has nothing to count: it completes to the unit nogood {T c}
+    shapes = [{store.literal(code) for code in ng.lits} for ng in store.nogoods]
+    assert {SignedLiteral(c, True)} in shapes
+    assert constraint not in shapes
+    want = {frozenset(), frozenset({b}), frozenset({a, b})}
+    assert set(brute_force_answer_sets(program)) == want
+    assert store_answer_sets(program) == want
     with pytest.raises(TypeError):
-        completion_nogoods(program)
+        completion_nogoods(GroundProgram(("not a rule",)))
 
 
 def test_completion_matches_answer_sets_on_random_tight_programs():

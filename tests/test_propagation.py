@@ -215,3 +215,16 @@ def test_dump_nogoods_format():
     text = dump_nogoods(store)
     # literals come out in entity-intern order: b was seen first
     assert text.splitlines() == ["F b, T a", "T c"]
+
+
+def test_dump_nogoods_writes_cardinality_constraints():
+    store = build_store([[sl("a", True), sl("b", True)]])
+    codes = [store.code(sl(name, truth)) for name, truth in (("c", True), ("a", False), ("b", True))]
+    assert store.add_cardinality(2, codes) == ~0
+    store.add_cardinality(1, [store.code(sl("d", True))])  # a unit nogood
+    assert store.add_cardinality(4, codes) is None  # vacuous
+    assert dump_nogoods(store).splitlines() == [
+        "T a, T b",
+        "T d",
+        ":- 2 {F a; T b; T c}",
+    ]

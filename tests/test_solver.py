@@ -13,6 +13,7 @@ from cspasp.program import (
     IntegrityRule,
     Lit,
     NormalRule,
+    brute_force_answer_sets,
     completion_nogoods,
     normalize_cardinality,
 )
@@ -24,12 +25,19 @@ from cspasp.solver import (
     SolverConfig,
     Stats,
     _Search,
+    _verify_static,
     enumerate_models,
     luby,
     solve,
 )
 
-from .helpers import random_tight_program, sl, true_atoms
+from .helpers import (
+    check_trail,
+    random_cardinality_rule,
+    random_tight_program,
+    sl,
+    true_atoms,
+)
 
 a, b = Atom("a"), Atom("b")
 
@@ -239,8 +247,11 @@ def test_learned_nogoods_are_asserting():
 
     def hook(store, trail, conflict_id, learned, jump):
         level = trail.level
-        # the conflicting nogood really is violated
-        assert all(trail.holds(c) for c in store.nogoods[conflict_id].lits)
+        # the conflicting nogood (or cardinality constraint) really is violated
+        conflict = store.lits_of(conflict_id, trail)
+        assert conflict and all(trail.holds(c) for c in conflict)
+        if conflict_id < 0:
+            assert len(conflict) >= store.cardinalities[~conflict_id].bound
         # every learned literal holds right now
         assert all(trail.holds(c) for c in learned)
         # exactly one literal from the conflict level, placed first
@@ -279,6 +290,79 @@ def test_reduction_spares_only_reasons_on_the_live_trail():
     search.reduce_learned()
     deleted = [store.nogoods[i].deleted for i in (stale, idle, live)]
     assert deleted == [True, False, False]
+
+
+# -- native cardinality constraints -------------------------------------------------
+
+
+def test_native_cardinality_matches_brute_force_on_random_programs():
+    """Native counting against the oracle and the counter ladder, with
+    every reason on the trail checked at each conflict and after each
+    propagation from random decisions."""
+    rng = random.Random("native-cardinality")
+    atoms = [Atom("a", (i,)) for i in range(5)]
+    shapes = dict.fromkeys(("negative", "pair", "k=1", "k=n"), 0)
+    conflicts = 0
+
+    def check_conflict(store, trail, conflict_id, learned, jump):
+        nonlocal conflicts
+        conflicts += conflict_id < 0
+        check_trail(store, trail)
+        assert all(trail.holds(c) for c in store.lits_of(conflict_id, trail))
+
+    for trial in range(300):
+        cards = tuple(random_cardinality_rule(rng, atoms) for _ in range(rng.randint(1, 3)))
+        program = GroundProgram(random_tight_program(rng).rules + cards)
+        for card in cards:
+            lits = card.literals
+            shapes["negative"] += any(not lit.positive for lit in lits)
+            shapes["pair"] += len({lit.atom for lit in lits}) < len(lits)
+            shapes["k=1"] += card.bound == 1
+            shapes["k=n"] += card.bound == len(lits)
+        want = set(brute_force_answer_sets(program))
+        native = completion_nogoods(program)
+        models, _, status = enumerate_models(native, SolverConfig(learn_hook=check_conflict))
+        assert status == UNSAT
+        assert {true_atoms(m) for m in models} == want, trial
+        counter = completion_nogoods(normalize_cardinality(program, "counter"))
+        models, _, _ = enumerate_models(counter)
+        base = set(program.atoms())
+        assert {true_atoms(m) & base for m in models} == want, trial
+
+        store = completion_nogoods(program)
+        trail = Trail(store)
+        if unit_propagate(store, trail) is None:
+            for atom in rng.sample(program.atoms(), 3):
+                code = store.code(sl(atom, rng.random() < 0.5))
+                if trail.values[code >> 1]:
+                    continue
+                trail.decide(code)
+                conflict = unit_propagate(store, trail)
+                check_trail(store, trail)
+                if conflict is not None:
+                    assert all(trail.holds(c) for c in store.lits_of(conflict, trail))
+                    break
+    assert min(shapes.values()) >= 10, shapes
+    # pigeonhole search resolves through at-most-one reasons at every conflict
+    for kind in ("direct", "support"):
+        res = solve(php_store(5, kind), SolverConfig(learn_hook=check_conflict))
+        assert res.status == UNSAT
+    assert conflicts >= 10
+
+
+def test_verify_static_rejects_a_model_that_breaks_a_cardinality_constraint():
+    def model(truths):
+        store = NogoodStore()
+        store.add_cardinality(2, [store.code(sl(a, True)), store.code(sl(b, False)),
+                                  store.code(sl("c", True))])
+        trail = Trail(store)
+        for name, truth in zip((a, b, "c"), truths):
+            trail.assign(store.code(sl(name, truth)), None)
+        return store, trail
+
+    _verify_static(*model((True, True, False)))  # only "a" holds
+    with pytest.raises(RuntimeError, match="cardinality"):
+        _verify_static(*model((True, False, False)))  # "a" and "not b" hold
 
 
 # -- budgets -------------------------------------------------------------------------
