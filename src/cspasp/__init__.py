@@ -4,36 +4,23 @@ The package translates constraint networks (all-different, permutation,
 table constraints) into ground logic programs under four encodings whose
 unit propagation realizes different consistency levels, converts programs
 to completion nogoods, and solves them with conflict-driven search.
+
+The names below are the pipeline's stages and the types they pass along;
+everything else is reached through its submodule (``cspasp.csp``,
+``cspasp.encoder``, ``cspasp.program``, ``cspasp.propagation``,
+``cspasp.solver``, ``cspasp.benchmarks``).
 """
 
+from . import encoder, solver
 from .csp import (
-    ALLDIFFERENT,
-    LEVELS,
-    PERMUTATION,
-    TABLE,
     Constraint,
     CspInstance,
-    DomainState,
-    VariableDecl,
-    binary_decomposition,
     check_solution,
     consistency_oracle,
-    enumerate_solutions,
     format_instance,
     parse_instance,
-    validate_state,
 )
-from .encoder import (
-    ENCODING_NAMES,
-    Encoding,
-    EncodingKind,
-    EncodingMap,
-    EncodingPropagator,
-    decode,
-    encode,
-    pruned_domains,
-    seed_assignment,
-)
+from .encoder import EncodingKind, EncodingPropagator, decode, encode
 from .errors import CapExceeded
 from .program import (
     Atom,
@@ -43,40 +30,17 @@ from .program import (
     IntegrityRule,
     Lit,
     NormalRule,
-    brute_force_answer_sets,
     completion_nogoods,
     emit_ground,
-    is_answer_set,
-    is_tight,
     normalize_cardinality,
     parse_ground,
 )
-from .propagation import (
-    BodyId,
-    Nogood,
-    NogoodStore,
-    SignedLiteral,
-    Trail,
-    add_nogood,
-    dump_nogoods,
-    propagate_naive,
-    unit_propagate,
-)
-from .solver import (
-    SAT,
-    UNKNOWN,
-    UNSAT,
-    SolveResult,
-    SolverConfig,
-    Stats,
-    enumerate_models,
-    solve,
-)
+from .propagation import BodyId, SignedLiteral
+from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALLDIFFERENT",
     "Atom",
     "BodyId",
     "CapExceeded",
@@ -84,52 +48,29 @@ __all__ = [
     "ChoiceRule",
     "Constraint",
     "CspInstance",
-    "DomainState",
-    "ENCODING_NAMES",
-    "Encoding",
     "EncodingKind",
-    "EncodingMap",
     "EncodingPropagator",
     "GroundProgram",
     "IntegrityRule",
-    "LEVELS",
     "Lit",
-    "Nogood",
-    "NogoodStore",
     "NormalRule",
-    "PERMUTATION",
     "SAT",
     "SignedLiteral",
-    "SolveResult",
     "SolverConfig",
-    "Stats",
-    "TABLE",
-    "Trail",
     "UNKNOWN",
     "UNSAT",
-    "VariableDecl",
-    "add_nogood",
-    "binary_decomposition",
-    "brute_force_answer_sets",
     "check_solution",
     "completion_nogoods",
     "consistency_oracle",
     "decode",
-    "dump_nogoods",
     "emit_ground",
     "encode",
+    "encoder",
     "enumerate_models",
-    "enumerate_solutions",
     "format_instance",
-    "is_answer_set",
-    "is_tight",
     "normalize_cardinality",
     "parse_ground",
     "parse_instance",
-    "propagate_naive",
-    "pruned_domains",
-    "seed_assignment",
     "solve",
-    "unit_propagate",
-    "validate_state",
+    "solver",
 ]

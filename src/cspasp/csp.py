@@ -228,7 +228,7 @@ def check_solution(instance: CspInstance, assignment) -> bool:
 
 
 def enumerate_solutions(instance: CspInstance, limit=None, cap=ENUMERATION_CAP):
-    """All solutions by brute force, lexicographic in declaration order."""
+    """All solutions by brute force, sorted with variables in declaration order."""
     names = instance.names()
     domains = [instance.effective_domain(n) for n in names]
     total = math.prod(len(d) for d in domains)

@@ -59,7 +59,9 @@ class EncodingKind:
 
     ``hall_limit`` caps the width of the intervals that get a pigeonhole
     cardinality rule in the bound/range translations; it trades pruning
-    strength for encoding size and has no meaning elsewhere.
+    strength for encoding size and has no meaning elsewhere.  A limit at
+    least as wide as an instance's widest proper interval keeps every
+    rule, so it is the same as no limit there.
     """
 
     name: str
@@ -76,7 +78,7 @@ class EncodingKind:
 
 
 class EncodingMap:
-    """Bidirectional map between variable/value meanings and atoms."""
+    """Map from variables and their values to the encoding's atoms."""
 
     def __init__(self, instance: CspInstance):
         union: set[int] = set()
@@ -109,19 +111,6 @@ class EncodingMap:
     def r_atom(self, name: str, l: int, u: int) -> Atom:
         return Atom("r", (name, l, u))
 
-    def meaning(self, atom: Atom):
-        """Decode an encoding atom to ('eq'|'le'|'in', name, original values)."""
-        if atom.name == "e":
-            name, i = atom.args
-            return ("eq", name, self.original(i))
-        if atom.name == "b":
-            name, i = atom.args
-            return ("le", name, self.original(i))
-        if atom.name == "r":
-            name, l, u = atom.args
-            return ("in", name, self.original(l), self.original(u))
-        raise ValueError(f"not an encoding atom: {atom!r}")
-
 
 @dataclass
 class Encoding:
@@ -136,10 +125,6 @@ class Encoding:
 def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
     """Translate an instance; raises CapExceeded on oversized tables."""
     emap = EncodingMap(instance)
-    if kind.hall_limit is not None and kind.hall_limit > emap.d - 1:
-        raise ValueError(
-            f"hall_limit {kind.hall_limit} exceeds the largest proper interval width {emap.d - 1}"
-        )
     rules: list = []
     if kind.name in ("direct", "support"):
         _encode_value_lane(instance, emap, kind, rules)
@@ -286,8 +271,7 @@ def _encode_range_lane(instance, emap, kind, rules):
         _carve_initial_domain(emap, name, rules, use_bounds=False)
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
-            _interval_count_rules(emap, kind, c, rules, lit_of=lambda v, l, u: pos(emap.r_atom(v, l, u)),
-                                  dual_lit_of=lambda v, l, u: neg(emap.r_atom(v, l, u)))
+            _interval_count_rules(emap, kind, c, rules)
         else:
             for box in _table_boxes(emap, c):
                 rules.append(
@@ -322,14 +306,15 @@ def _carve_initial_domain(emap, name, rules, use_bounds):
                 rules.append(IntegrityRule((pos(r(name, i, i)),)))
 
 
-def _interval_count_rules(emap, kind, c, rules, lit_of, dual_lit_of, collect=None):
+def _interval_count_rules(emap, kind, c, rules, collect=None):
     """Pigeonhole cardinality rules over intervals (the Hall-style rules).
 
     For every interval [l,u] (width-capped by hall_limit) at most u-l+1
-    of the scope variables fit inside, so u-l+2 inside is a conflict.
-    Permutations add the dual: every interval must absorb its share, so
-    too many variables *outside* [l,u] is a conflict as well.
+    of the scope variables fit inside, so u-l+2 atoms r(v,l,u) true is a
+    conflict.  Permutations add the dual: every interval must absorb its
+    share, so too many variables *outside* [l,u] is a conflict as well.
     """
+    r = emap.r_atom
     d = emap.d
     h = kind.hall_limit
     n = len(c.scope)
@@ -338,7 +323,7 @@ def _interval_count_rules(emap, kind, c, rules, lit_of, dual_lit_of, collect=Non
         for u in range(l, d + 1):
             if h is not None and u - l + 1 > h:
                 continue
-            card = make_cardinality(u - l + 2, tuple(lit_of(v, l, u) for v in c.scope))
+            card = make_cardinality(u - l + 2, tuple(pos(r(v, l, u)) for v in c.scope))
             if card is not None:
                 rules.append(card)
                 if collect is not None:
@@ -349,7 +334,7 @@ def _interval_count_rules(emap, kind, c, rules, lit_of, dual_lit_of, collect=Non
                 if h is not None and u - l + 1 > h:
                     continue
                 outside = n - len(union & set(range(l, u + 1)))
-                card = make_cardinality(outside + 1, tuple(dual_lit_of(v, l, u) for v in c.scope))
+                card = make_cardinality(outside + 1, tuple(neg(r(v, l, u)) for v in c.scope))
                 if card is not None:
                     rules.append(card)
                     if collect is not None:
@@ -372,15 +357,7 @@ def _encode_bound_lane(instance, emap, kind, rules):
     linked: set[tuple[str, int, int]] = set()
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
-            _interval_count_rules(
-                emap,
-                kind,
-                c,
-                rules,
-                lit_of=lambda v, l, u: pos(emap.r_atom(v, l, u)),
-                dual_lit_of=lambda v, l, u: neg(emap.r_atom(v, l, u)),
-                collect=linked,
-            )
+            _interval_count_rules(emap, kind, c, rules, collect=linked)
         else:
             for box in _table_boxes(emap, c):
                 body = []
@@ -455,7 +432,7 @@ def _maximal_empty_boxes(sat: np.ndarray) -> np.ndarray:
     """All maximal axis-aligned boxes containing no True cell.
 
     Returns rows (l1, u1, l2, u2, ...) of 0-based inclusive interval
-    endpoints, in lexicographic order.
+    endpoints, in sorted order.
     """
     k = sat.ndim
     sizes = sat.shape

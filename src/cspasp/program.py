@@ -394,7 +394,7 @@ def brute_force_answer_sets(program: GroundProgram, guess_atoms=None, cap: int =
 # -- completion nogoods --------------------------------------------------------
 
 
-def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> NogoodStore:
+def completion_nogoods(program: GroundProgram) -> NogoodStore:
     """Clark-style completion of a (tight) program as a nogood store.
 
     Entities are the program's atoms (in first-occurrence order, so they
@@ -415,10 +415,10 @@ def completion_nogoods(program: GroundProgram, *, check_tight: bool = True) -> N
     A cardinality rule ``:- k {l1..ln}`` becomes the store's cardinality
     constraint over the literals' codes (see ``add_cardinality``).
 
-    Completion characterizes answer sets only for tight programs, hence
-    the default tightness check.
+    Completion characterizes answer sets only for tight programs, so a
+    program that is not tight is rejected.
     """
-    if check_tight and not is_tight(program):
+    if not is_tight(program):
         raise ValueError("program is not tight; completion would be unsound")
 
     store = NogoodStore()
@@ -510,66 +510,91 @@ def _emit_body(body) -> str:
     return ", ".join(repr(l) for l in body)
 
 
-_TOKEN = re.compile(r":-|[{}(),;.]|-?\d+|[A-Za-z_]\w*")
-_SKIP = re.compile(r"\s*")
+# the line boundaries of str.splitlines; one statement per line
+_EOL = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# One pass over the whole text.  Each match is optional in-line blanks
+# followed by a line break, a comment, a token, or a bad character.
+_LEX = re.compile(
+    rf"[^\S{_EOL}]*(?:(?P<eol>\r\n|[{_EOL}])|%[^{_EOL}]*"
+    rf"|(?P<tok>:-|[{{}}(),;.]|-?\d+|[A-Za-z_]\w*)|(?P<bad>\S))"
+)
+_NAME = re.compile(r"[A-Za-z_]\w*\Z")
+_INT = re.compile(r"-?\d+\Z")
 
 
-class _Tokens:
-    """Tiny cursor over one statement's tokens, with positions for errors."""
+class _Cursor:
+    """The token stream of a whole text, one statement per line.
 
-    def __init__(self, line: str, lineno: int):
-        self.line = line
-        self.lineno = lineno
-        self.toks: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(line):
-            pos = _SKIP.match(line, pos).end()
-            if pos >= len(line):
-                break
-            m = _TOKEN.match(line, pos)
-            if not m:
-                raise ValueError(
-                    f"line {lineno}, col {pos + 1}: unexpected character {line[pos]!r}"
+    ``None`` ends each statement.  Columns count from a statement's first
+    character, as the error messages give them.
+    """
+
+    def __init__(self, text: str):
+        toks: list[str | None] = []
+        cols: list[int] = []
+        self.linenos: list[int] = []  # of each statement
+        self.bad: str | None = None  # error for the first bad character
+        lineno, first, end, start_tok = 1, -1, 0, 0
+        for m in _LEX.finditer(text + "\n"):  # the last statement ends too
+            kind = m.lastgroup
+            if kind is None:
+                continue  # a comment
+            if kind == "eol":
+                if first >= 0:
+                    toks.append(None)
+                    cols.append(end - first + 1)
+                    self.linenos.append(lineno)
+                    first = -1
+                lineno += 1
+                continue
+            pos, end = m.span(kind)
+            if first < 0:
+                first, start_tok = pos, len(toks)
+            if kind == "bad":
+                self.bad = (
+                    f"line {lineno}, col {pos - first + 1}: "
+                    f"unexpected character {m.group(kind)!r}"
                 )
-            self.toks.append((m.group(), pos + 1))
-            pos = m.end()
+                del toks[start_tok:], cols[start_tok:]
+                break
+            toks.append(m.group(kind))
+            cols.append(pos - first + 1)
+        self.toks = toks
+        self.cols = cols
         self.i = 0
+        self.lineno = 0
 
     def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def next(self) -> str:
-        if self.i >= len(self.toks):
+        tok = self.toks[self.i]
+        if tok is None:
             raise ValueError(f"line {self.lineno}: unexpected end of statement")
-        tok, _ = self.toks[self.i]
         self.i += 1
         return tok
 
     def expect(self, want: str) -> None:
         tok = self.peek()
         if tok != want:
-            col = self.toks[self.i][1] if self.i < len(self.toks) else len(self.line) + 1
-            raise ValueError(f"line {self.lineno}, col {col}: expected {want!r}, found {tok!r}")
+            raise ValueError(
+                f"line {self.lineno}, col {self.cols[self.i]}: expected {want!r}, found {tok!r}"
+            )
         self.i += 1
 
     def done(self) -> None:
-        if self.i < len(self.toks):
-            tok, col = self.toks[self.i]
-            raise ValueError(f"line {self.lineno}, col {col}: trailing {tok!r}")
-
-
-_NAME = re.compile(r"[A-Za-z_]\w*\Z")
-_INT = re.compile(r"-?\d+\Z")
+        tok = self.peek()
+        if tok is not None:
+            raise ValueError(f"line {self.lineno}, col {self.cols[self.i]}: trailing {tok!r}")
+        self.i += 1
 
 
 def parse_ground(text: str) -> GroundProgram:
     """Parse the ground text format; ``%`` comments and blank lines skipped."""
+    toks = _Cursor(text)
     rules: list[Rule] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        toks = _Tokens(line, lineno)
+    for lineno in toks.linenos:
+        toks.lineno = lineno
         try:
             rule = _parse_statement(toks)
         except ValueError as exc:
@@ -578,10 +603,12 @@ def parse_ground(text: str) -> GroundProgram:
             # rule validation errors carry no position; attach one
             raise ValueError(f"line {lineno}: {exc}") from exc
         rules.append(rule)
+    if toks.bad:
+        raise ValueError(toks.bad)
     return GroundProgram(rules)
 
 
-def _parse_statement(toks: _Tokens) -> Rule:
+def _parse_statement(toks: _Cursor) -> Rule:
     tok = toks.peek()
     if tok == "{":
         toks.next()
@@ -631,7 +658,7 @@ def _parse_statement(toks: _Tokens) -> Rule:
     return NormalRule(head, ())
 
 
-def _parse_body(toks: _Tokens) -> tuple[Lit, ...]:
+def _parse_body(toks: _Cursor) -> tuple[Lit, ...]:
     lits = [_parse_literal(toks)]
     while toks.peek() == ",":
         toks.next()
@@ -639,14 +666,14 @@ def _parse_body(toks: _Tokens) -> tuple[Lit, ...]:
     return tuple(lits)
 
 
-def _parse_literal(toks: _Tokens) -> Lit:
+def _parse_literal(toks: _Cursor) -> Lit:
     if toks.peek() == "not":
         toks.next()
         return Lit(_parse_atom(toks), False)
     return Lit(_parse_atom(toks), True)
 
 
-def _parse_atom(toks: _Tokens) -> Atom:
+def _parse_atom(toks: _Cursor) -> Atom:
     name = toks.next()
     if not _NAME.match(name) or name == "not":
         raise ValueError(f"line {toks.lineno}: expected atom name, found {name!r}")
@@ -661,7 +688,7 @@ def _parse_atom(toks: _Tokens) -> Atom:
     return Atom(name, tuple(args))
 
 
-def _parse_arg(toks: _Tokens):
+def _parse_arg(toks: _Cursor):
     tok = toks.next()
     if _INT.match(tok):
         return int(tok)

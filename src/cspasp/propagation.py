@@ -229,16 +229,6 @@ class Trail:
         self.head = 0  # propagation queue position
         self.units_seen = 0  # prefix of store.units already applied
 
-    def grow(self) -> None:
-        """Extend the arrays after new entities were interned."""
-        n = self.store.n_entities
-        extra = n - len(self.values)
-        if extra > 0:
-            self.values.extend(b"\x00" * extra)
-            self.level_of.extend([0] * extra)
-            self.reason_of.extend([None] * extra)
-            self.pos_of.extend([0] * extra)
-
     @property
     def level(self) -> int:
         return len(self.level_starts) - 1
@@ -406,46 +396,6 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
         del wl[write:]
     trail.head = head
     return None
-
-
-def add_nogood(store: NogoodStore, literals, trail: Trail) -> tuple[int, str]:
-    """Install a nogood under a possibly advanced trail.
-
-    Returns ``(nogood_id, status)`` where status is ``"conflict"`` (all
-    literals hold), ``"unit"`` (one unassigned, the rest hold), or
-    ``"ok"``.  The caller is responsible for acting on unit/conflict --
-    typically by asserting the complement or starting conflict analysis.
-    """
-    codes = sorted({store.code(lit) for lit in literals})
-    trail.grow()
-    values = trail.values
-    pos_of = trail.pos_of
-
-    def watch_rank(c):
-        # prefer non-holding literals as watches, then latest-assigned
-        if values[c >> 1] != 1 + (c & 1):
-            return (0, 0)
-        return (1, -pos_of[c >> 1])
-
-    codes.sort(key=watch_rank)
-    ng_id = store.add_codes(codes, learned=True)
-
-    unassigned = falsified = 0
-    for c in codes:
-        v = values[c >> 1]
-        if v == 0:
-            unassigned += 1
-        elif v == 2 - (c & 1):
-            falsified += 1
-    if falsified:
-        status = "ok"
-    elif unassigned == 0:
-        status = "conflict"
-    elif unassigned == 1:
-        status = "unit"
-    else:
-        status = "ok"
-    return ng_id, status
 
 
 def propagate_naive(nogoods, assignment) -> tuple[list[SignedLiteral], str]:

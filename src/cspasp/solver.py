@@ -4,18 +4,25 @@ Decisions are made on atom entities only: once every atom is assigned,
 the body-definition nogoods force each body entity, so restricting the
 branching set loses no solutions and keeps the heuristic focused.
 
+The search itself is fixed: VSIDS-style entity activities with decay
+0.95 (MiniSat, Eén & Sörensson, SAT 2003), phase saving from a false
+first phase, Luby restarts in units of 64 conflicts, and a learned store
+capped at ten times the static one.  ``SolverConfig`` holds only the
+budgets (conflicts, wall time) and a test hook.
+
 Everything here is deterministic: ties break on entity index, restarts
 follow the Luby sequence, and no randomness is involved, so a freshly
-built store and a configuration always reproduce the same run and
-statistics.  The search appends its learned nogoods to the store it is
-given and reorders that store's watches in place.
+built store always reproduces the same run and statistics under any
+budget that does not cut it short.  The search appends its learned
+nogoods to the store it is given and reorders that store's watches in
+place.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .propagation import BodyId, NogoodStore, SignedLiteral, Trail, unit_propagate
 
@@ -23,28 +30,20 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
+LUBY_UNIT = 64  # conflicts per restart-sequence step
+ACTIVITY_DECAY = 0.95
+LEARNED_CAP_FACTOR = 10.0  # learned limit as a multiple of static size
+
 
 @dataclass
 class SolverConfig:
-    heuristic: str = "activity"  # activity | lexicographic
-    default_phase: bool = False  # truth value tried first on a fresh entity
-    phase_saving: bool = True
-    luby_unit: int = 64  # conflicts per restart-sequence step
-    activity_decay: float = 0.95
-    learned_cap_factor: float = 10.0  # learned limit as a multiple of static size
+    """Search budgets (None means unbounded) and a testing hook."""
+
     max_conflicts: int | None = None
     timeout_s: float | None = None
     # testing hook: f(store, trail, conflict_id, codes, level); the conflict's
     # literals are store.lits_of(conflict_id, trail)
     learn_hook: object = None
-
-    def __post_init__(self):
-        if self.heuristic not in ("activity", "lexicographic"):
-            raise ValueError(f"unknown heuristic: {self.heuristic!r}")
-        if not 0.0 < self.activity_decay <= 1.0:
-            raise ValueError("activity_decay must be in (0, 1]")
-        if self.luby_unit < 1:
-            raise ValueError("luby_unit must be positive")
 
 
 @dataclass
@@ -149,16 +148,12 @@ class _Search:
         self.decidable = [not isinstance(e, BodyId) for e in store.entities]
         self.activity = [0.0] * n
         self.bump = 1.0
-        self.heap: list[tuple[float, int]] = []
-        if cfg.heuristic == "activity":
-            self.heap = [(0.0, i) for i in range(n) if self.decidable[i]]
-            heapq.heapify(self.heap)
-        self.phase = bytearray(
-            (1 if cfg.default_phase else 0) for _ in range(n)
-        )
+        self.heap = [(0.0, i) for i in range(n) if self.decidable[i]]
+        heapq.heapify(self.heap)
+        self.phase = bytearray(n)
         self.ng_bump = 1.0
         self.restart_index = 1
-        self.budget = cfg.luby_unit * luby(1)
+        self.budget = LUBY_UNIT * luby(1)
         self.n_learned_live = sum(
             1 for ng in store.nogoods if ng.learned and not ng.deleted
         )
@@ -182,16 +177,11 @@ class _Search:
             heapq.heapify(self.heap)
 
     def decay(self) -> None:
-        self.bump /= self.cfg.activity_decay
-        self.ng_bump /= self.cfg.activity_decay
+        self.bump /= ACTIVITY_DECAY
+        self.ng_bump /= ACTIVITY_DECAY
 
     def pick(self) -> int | None:
         values = self.trail.values
-        if self.cfg.heuristic == "lexicographic":
-            for idx in range(len(values)):
-                if self.decidable[idx] and values[idx] == 0:
-                    return idx
-            return None
         heap = self.heap
         while heap:
             negact, idx = heapq.heappop(heap)
@@ -212,7 +202,7 @@ class _Search:
 
     def reduce_learned(self) -> None:
         store = self.store
-        cap = int(self.cfg.learned_cap_factor * max(100, store.n_static))
+        cap = int(LEARNED_CAP_FACTOR * max(100, store.n_static))
         if self.n_learned_live <= cap:
             return
         # only reasons of literals still on the trail are in use; reason_of
@@ -245,13 +235,10 @@ class _Search:
 
     def on_backjump(self, popped) -> None:
         """Phase saving plus heuristic-heap reinsertion for popped entities."""
-        save = self.cfg.phase_saving
-        activity_heap = self.cfg.heuristic == "activity"
         for code in popped:
             idx = code >> 1
-            if save:
-                self.phase[idx] = 0 if code & 1 else 1
-            if activity_heap and self.decidable[idx]:
+            self.phase[idx] = 0 if code & 1 else 1
+            if self.decidable[idx]:
                 heapq.heappush(self.heap, (-self.activity[idx], idx))
 
     def run(self) -> str:
@@ -285,7 +272,7 @@ class _Search:
                 if self.budget <= 0:
                     stats.restarts += 1
                     self.restart_index += 1
-                    self.budget = self.cfg.luby_unit * luby(self.restart_index)
+                    self.budget = LUBY_UNIT * luby(self.restart_index)
                     self.on_backjump(trail.backjump(0))
                 self.reduce_learned()
                 if self.out_of_budget():

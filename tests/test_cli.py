@@ -290,3 +290,17 @@ def test_bench_rejects_unknown_family_or_param(capsys):
     assert code == 1 and "sudoku" in err
     code, _, err = run(capsys, "bench", "--spec", "php:m=4")
     assert code == 1
+
+
+def test_bench_hall_limit_wider_than_an_instance_keeps_every_row(capsys):
+    # php n=3 has proper intervals of width 1 only: a limit of 2 caps nothing
+    code, out, _ = run(
+        capsys, "bench", "--spec", "php:n=3", "--spec", "php:n=5",
+        "-e", "bound", "--hall-limit", "2",
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [row[:5] for row in rows] == [
+        ["php", "n=3", "bound", "2", "UNSAT"],
+        ["php", "n=5", "bound", "2", "UNSAT"],
+    ]

@@ -87,13 +87,6 @@ def test_window_folds_assignments_before_shifting():
     assert emap.values == {"a": (1,), "b": (1, 4)}
 
 
-def test_atom_meanings_report_original_values():
-    emap = EncodingMap(parse_instance("var a { -3 -1 }\n"))
-    assert emap.meaning(Atom("e", ("a", 1))) == ("eq", "a", -3)
-    assert emap.meaning(Atom("r", ("a", 1, 2))) == ("in", "a", -3, -2)
-    assert emap.meaning(Atom("b", ("a", 2))) == ("le", "a", -2)
-
-
 # -- structure of the translations ----------------------------------------------
 
 

@@ -224,8 +224,6 @@ def test_completion_rejects_nontight_by_default():
     )
     with pytest.raises(ValueError):
         completion_nogoods(loop)
-    store = completion_nogoods(loop, check_tight=False)
-    assert store is not None
 
 
 def test_completion_installs_cardinality_rules_natively():
@@ -300,6 +298,21 @@ def test_parse_ground_errors_carry_line_numbers():
         parse_ground(":- 0 {a}.")
     with pytest.raises(ValueError):
         parse_ground("a")  # missing period
+    # columns count from the statement's first character
+    for text, message in [
+        ("a.\n  b :- c & d.\n", "line 2, col 8: unexpected character '&'"),
+        ("a. b.", "line 1, col 4: trailing 'b'"),
+        ("  a :- b, c d.  % c", "line 1, col 11: expected '.', found 'd'"),
+        ("a :- e(x,1.\n", "line 1, col 11: expected ')', found '.'"),
+        ("a :- b.\n  x(1,2 :- c.", "line 2, col 7: expected ')', found ':-'"),
+        ("a :- e(f(1)).", "line 1, col 9: expected ')', found '('"),
+        ("a.\nb :- c\nq & r", "line 2, col 7: expected '.', found None"),
+        (":- 2 {a; b", "line 1, col 11: expected '}', found None"),
+        ("e (1, x) :- not(y).", "line 1: expected atom name, found '('"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_ground(text)
+        assert str(exc.value) == message, text
 
 
 def test_parse_ground_ignores_comments_and_blanks():

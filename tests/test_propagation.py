@@ -8,7 +8,6 @@ from cspasp.propagation import (
     NogoodStore,
     SignedLiteral,
     Trail,
-    add_nogood,
     dump_nogoods,
     propagate_naive,
     unit_propagate,
@@ -94,34 +93,6 @@ def test_duplicate_static_nogoods_are_collapsed():
     b = store.add([sl("b", False), sl("a", True)])
     assert a == b
     assert len(store) == 1
-
-
-def test_add_nogood_statuses():
-    store = NogoodStore()
-    store.add([sl("p", True), sl("q", True)])
-    store.intern("r")
-    trail = Trail(store)
-
-    ng, status = add_nogood(store, [sl("p", False)], trail)
-    assert status == "unit"
-    assert unit_propagate(store, trail) is None
-    assert trail.holds(store.code(sl("p", True)))
-    # the static nogood fired too
-    assert trail.holds(store.code(sl("q", False)))
-
-    ng, status = add_nogood(store, [sl("p", True), sl("r", False)], trail)
-    assert status == "unit"
-    # the caller acts on the report, as the solver does after learning
-    trail.assign(store.code(sl("r", True)), ng)
-    assert unit_propagate(store, trail) is None
-    assert trail.holds(store.code(sl("r", True)))
-
-    ng, status = add_nogood(store, [sl("p", True), sl("r", True)], trail)
-    assert status == "conflict"
-
-    # F p can never fire under this trail: satisfied complement
-    ng, status = add_nogood(store, [sl("p", False), sl("x", True)], trail)
-    assert status == "ok"
 
 
 def test_backjump_pops_levels_and_resets_queue():

@@ -17,6 +17,7 @@ from cspasp.program import (
     completion_nogoods,
     normalize_cardinality,
 )
+from cspasp import solver as solver_module
 from cspasp.propagation import NogoodStore, Trail, unit_propagate
 from cspasp.solver import (
     SAT,
@@ -73,16 +74,7 @@ def test_luby_against_recursive_definition():
     assert [luby(i) for i in range(1, 300)] == [reference(i) for i in range(1, 300)]
 
 
-# -- configuration ------------------------------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(heuristic="random")
-    with pytest.raises(ValueError):
-        SolverConfig(activity_decay=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(luby_unit=0)
+# -- statistics ---------------------------------------------------------------------
 
 
 def test_stats_text_layout():
@@ -126,19 +118,6 @@ def test_forced_atom_round_trip():
     res = solve(completion_nogoods(program))
     assert res.status == SAT
     assert true_atoms(res.assignment) == {a}
-
-
-@pytest.mark.parametrize("heuristic", ["activity", "lexicographic"])
-@pytest.mark.parametrize("phase", [False, True])
-def test_status_is_config_independent(heuristic, phase):
-    rng = random.Random(f"cfg:{heuristic}:{phase}")
-    cfg = SolverConfig(heuristic=heuristic, default_phase=phase)
-    for _ in range(40):
-        program = random_tight_program(rng)
-        store = completion_nogoods(program)
-        res = solve(store, cfg)
-        baseline = solve(completion_nogoods(program))
-        assert res.status == baseline.status
 
 
 def test_runs_are_deterministic():
@@ -272,7 +251,8 @@ def test_learned_nogoods_only_shrink_the_search():
     assert plain.stats.conflicts >= plain.stats.learned
 
 
-def test_reduction_spares_only_reasons_on_the_live_trail():
+def test_reduction_spares_only_reasons_on_the_live_trail(monkeypatch):
+    monkeypatch.setattr(solver_module, "LEARNED_CAP_FACTOR", 0.01)
     store = NogoodStore()
     stale, idle, live = (
         store.add([sl(f"{name}{k}", True) for k in range(3)], learned=True)
@@ -280,7 +260,7 @@ def test_reduction_spares_only_reasons_on_the_live_trail():
     )
     store.nogoods[idle].activity = 1.0  # so the halving deletes the stale one
     # learned cap: int(0.01 * max(100, 0 static nogoods)) = 1 < 3 learned
-    search = _Search(store, SolverConfig(learned_cap_factor=0.01))
+    search = _Search(store, SolverConfig())
     trail = search.trail
     trail.new_level()
     trail.assign(store.code(sl("s0", False)), stale)
