@@ -23,7 +23,7 @@ from .csp import (
 )
 from .encoder import EncodingKind, encode
 from .errors import CapExceeded
-from .program import DEFAULT_CARDINALITY_METHOD, completion_nogoods, normalize_cardinality
+from .program import completion_nogoods
 from .solver import SolverConfig, solve
 
 QEP_AXIOMS = ("QG3", "QG4", "QG5", "QG6", "QG7")
@@ -400,8 +400,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def run_suite(specs, kinds, method: str = DEFAULT_CARDINALITY_METHOD,
-              timeout_s: float | None = None) -> BenchReport:
+def run_suite(specs, kinds, timeout_s: float | None = None) -> BenchReport:
     """Encode and solve every (spec, kind) pair sequentially.
 
     A run that exhausts its time budget or trips a size cap is recorded
@@ -416,7 +415,7 @@ def run_suite(specs, kinds, method: str = DEFAULT_CARDINALITY_METHOD,
                 enc = encode(instance, kind)
                 atoms = len(enc.program.atoms())
                 rules = len(enc.program.rules)
-                store = completion_nogoods(normalize_cardinality(enc.program, method))
+                store = completion_nogoods(enc.program)
                 result = solve(store, SolverConfig(timeout_s=timeout_s))
                 rows.append(
                     BenchRow(

@@ -33,14 +33,7 @@ from .encoder import (
     encode,
 )
 from .errors import CapExceeded
-from .program import (
-    CARDINALITY_METHODS,
-    DEFAULT_CARDINALITY_METHOD,
-    completion_nogoods,
-    emit_ground,
-    normalize_cardinality,
-    parse_ground,
-)
+from .program import completion_nogoods, emit_ground, parse_ground
 from .propagation import dump_nogoods
 from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models, solve
 
@@ -151,7 +144,7 @@ def _cmd_solve(args) -> int:
         else:
             enc = encode(instance, _kind(args))
             program = enc.program
-    store = completion_nogoods(normalize_cardinality(program, args.method))
+    store = completion_nogoods(program)
     if args.emit_nogoods:
         _write_text(args.emit_nogoods, dump_nogoods(store))
     cfg = SolverConfig(timeout_s=args.timeout)
@@ -214,7 +207,7 @@ def _cmd_check(args) -> int:
                                    holes=not hole_free)
         state = random_state(rng, instance, intervals=hole_free)
         try:
-            propagator = EncodingPropagator(encode(instance, kind), args.method)
+            propagator = EncodingPropagator(encode(instance, kind))
             pruned = propagator.propagate(state)
             oracle = consistency_oracle(instance, state, level)
         except CapExceeded:
@@ -300,7 +293,7 @@ def _cmd_bench(args) -> int:
         for n in names
     ]
     try:
-        report = run_suite(specs, kinds, method=args.method, timeout_s=args.timeout)
+        report = run_suite(specs, kinds, timeout_s=args.timeout)
     except KeyError as exc:
         raise ValueError(f"benchmark spec is missing parameter {exc}") from None
     _write_text(args.output, report.to_text())
@@ -325,13 +318,6 @@ def _add_encoding_flags(sub, multiple: bool = False) -> None:
                           "(range/bound only)")
 
 
-def _add_method_flag(sub) -> None:
-    sub.add_argument("--method", choices=CARDINALITY_METHODS,
-                     default=DEFAULT_CARDINALITY_METHOD,
-                     help="cardinality rules: native counting propagation or a "
-                          "counter/binomial expansion (default %(default)s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cspasp", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -347,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("solve", help="solve an instance or ground program")
     p.add_argument("input", help="instance file, encode output, or ground program")
     _add_encoding_flags(p)
-    _add_method_flag(p)
     p.add_argument("--enumerate", type=int, default=None, metavar="K",
                    help="enumerate up to K models (0 or negative: no bound)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
@@ -362,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_encoding_flags(p)
     p.add_argument("--level", choices=LEVELS, default=None,
                    help="oracle level (default depends on the encoding)")
-    _add_method_flag(p)
     p.add_argument("--trials", type=int, default=100,
                    help="random instance/state pairs to compare")
     p.add_argument("--seed", type=int, default=0)
@@ -395,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", action="append", required=True, metavar="FAMILY:K=V,...",
                    help="e.g. php:n=8 or qcp:order=10,fill=30,seed=1; repeatable")
     _add_encoding_flags(p, multiple=True)
-    _add_method_flag(p)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--csv", default=None, metavar="PATH", help="also write CSV here")
     p.add_argument("-o", "--output", default=None)

@@ -32,8 +32,8 @@ from .csp import (
 )
 from .errors import CapExceeded
 from .program import (
-    DEFAULT_CARDINALITY_METHOD,
     Atom,
+    CardinalityRule,
     ChoiceRule,
     GroundProgram,
     IntegrityRule,
@@ -42,7 +42,7 @@ from .program import (
     completion_nogoods,
     make_cardinality,
     neg,
-    normalize_cardinality,
+    normalize_cardinality,  # not called here; perfbench's trace_nested rebinds it
     pos,
 )
 from .propagation import SignedLiteral, Trail, unit_propagate
@@ -306,7 +306,7 @@ def _carve_initial_domain(emap, name, rules, use_bounds):
                 rules.append(IntegrityRule((pos(r(name, i, i)),)))
 
 
-def _interval_count_rules(emap, kind, c, rules, collect=None):
+def _interval_count_rules(emap, kind, c, rules):
     """Pigeonhole cardinality rules over intervals (the Hall-style rules).
 
     For every interval [l,u] (width-capped by hall_limit) at most u-l+1
@@ -326,8 +326,6 @@ def _interval_count_rules(emap, kind, c, rules, collect=None):
             card = make_cardinality(u - l + 2, tuple(pos(r(v, l, u)) for v in c.scope))
             if card is not None:
                 rules.append(card)
-                if collect is not None:
-                    collect.update((v, l, u) for v in c.scope)
     if c.kind == PERMUTATION:
         for l in range(1, d + 1):
             for u in range(l, d + 1):
@@ -337,8 +335,6 @@ def _interval_count_rules(emap, kind, c, rules, collect=None):
                 card = make_cardinality(outside + 1, tuple(neg(r(v, l, u)) for v in c.scope))
                 if card is not None:
                     rules.append(card)
-                    if collect is not None:
-                        collect.update((v, l, u) for v in c.scope)
 
 
 # -- bound ---------------------------------------------------------------------
@@ -354,10 +350,9 @@ def _encode_bound_lane(instance, emap, kind, rules):
         for i in range(1, d):
             rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i + 1)))))
         _carve_initial_domain(emap, name, rules, use_bounds=True)
-    linked: set[tuple[str, int, int]] = set()
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
-            _interval_count_rules(emap, kind, c, rules, collect=linked)
+            _interval_count_rules(emap, kind, c, rules)
         else:
             for box in _table_boxes(emap, c):
                 body = []
@@ -366,21 +361,22 @@ def _encode_bound_lane(instance, emap, kind, rules):
                     if l >= 2:
                         body.append(neg(emap.b_atom(v, l - 1)))
                 rules.append(IntegrityRule(tuple(body)))
-    # interval atoms exist only where the counting rules need them,
-    # tied to the bound atoms by the link rules below
+    # interval atoms exist only where the counting rules need them; the
+    # completion of the one rule defining each ties it to both endpoints
+    linked: dict[str, set[tuple[int, int]]] = {}
+    for rule in rules:
+        if isinstance(rule, CardinalityRule):
+            for lit in rule.literals:
+                name, l, u = lit.atom.args
+                linked.setdefault(name, set()).add((l, u))
     for decl in instance.variables:
         name = decl.name
-        ranges = sorted((l, u) for v, l, u in linked if v == name)
-        for l, u in ranges:
-            r = emap.r_atom(name, l, u)
+        for l, u in sorted(linked.get(name, ())):
             body = []
             if l >= 2:
                 body.append(neg(emap.b_atom(name, l - 1)))
             body.append(pos(emap.b_atom(name, u)))
-            rules.append(NormalRule(r, tuple(body)))
-            if l >= 2:
-                rules.append(IntegrityRule((pos(r), pos(emap.b_atom(name, l - 1)))))
-            rules.append(IntegrityRule((pos(r), neg(emap.b_atom(name, u)))))
+            rules.append(NormalRule(emap.r_atom(name, l, u), tuple(body)))
 
 
 # -- table boxes -----------------------------------------------------------------
@@ -634,16 +630,16 @@ _READBACK_ATOM = {"direct": "e", "support": "e", "range": "r", "bound": "b"}
 class EncodingPropagator:
     """Unit propagation harness over an encoding's completion nogoods.
 
-    The program is normalized and completed once, and one trail keeps
-    the root fixpoint (the unit nogoods propagated at level 0).  Each
-    propagate() call seeds its state at level 1 above that root,
-    propagates, reads back only the encoding's value atoms and
-    backjumps to the root, so the root is derived once per propagator.
+    The program is completed once, and one trail keeps the root fixpoint
+    (the unit nogoods propagated at level 0).  Each propagate() call
+    seeds its state at level 1 above that root, propagates, reads back
+    only the encoding's value atoms and backjumps to the root, so the
+    root is derived once per propagator.
     """
 
-    def __init__(self, enc: Encoding, method: str = DEFAULT_CARDINALITY_METHOD):
+    def __init__(self, enc: Encoding):
         self.enc = enc
-        self.store = completion_nogoods(normalize_cardinality(enc.program, method))
+        self.store = completion_nogoods(enc.program)
         self.trail = Trail(self.store)
         self.root_conflict = unit_propagate(self.store, self.trail) is not None
         kind = enc.kind.name

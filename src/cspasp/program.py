@@ -19,12 +19,6 @@ from .propagation import BodyId, NogoodStore
 
 BINOMIAL_CAP = 10 ** 6
 
-# cardinality-rule treatments, the default first: ``native`` keeps the
-# rules for the store's counting propagator, ``counter`` and ``binomial``
-# are the clausal expansions kept as references for it
-CARDINALITY_METHODS = ("native", "counter", "binomial")
-DEFAULT_CARDINALITY_METHOD = CARDINALITY_METHODS[0]
-
 
 class Atom:
     """Interned ground atom: ``name`` or ``name(arg, ...)``.
@@ -196,21 +190,22 @@ class GroundProgram:
 # -- cardinality normalization ----------------------------------------------
 
 
-def normalize_cardinality(program: GroundProgram,
-                          method: str = DEFAULT_CARDINALITY_METHOD) -> GroundProgram:
+def normalize_cardinality(program: GroundProgram, method: str = "native") -> GroundProgram:
     """Prepare cardinality rules for completion under ``method``.
 
     ``native`` returns the program as it is: completion hands each
-    cardinality rule to the store's counting propagator.  ``counter``
-    expands every rule into the usual O(n*k) counting ladder over fresh
-    ``_cnt`` atoms; ``binomial`` posts one integrity rule per k-subset
-    (capped, since that count explodes).  Solutions projected to the
-    original atoms agree among the three.
+    cardinality rule to the store's counting propagator, the one path the
+    library ships.  ``counter`` expands every rule into the usual O(n*k)
+    counting ladder over fresh ``_cnt`` atoms; ``binomial`` posts one
+    integrity rule per k-subset (capped, since that count explodes).  The
+    two expansions are references that tests check native counting
+    against; solutions projected to the original atoms agree among the
+    three.
     """
-    if method not in CARDINALITY_METHODS:
-        raise ValueError(f"unknown normalization method: {method!r}")
     if method == "native":
         return program
+    if method not in ("counter", "binomial"):
+        raise ValueError(f"unknown normalization method: {method!r}")
     out: list[Rule] = []
     for ridx, rule in enumerate(program.rules):
         if not isinstance(rule, CardinalityRule):

@@ -331,6 +331,8 @@ def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=
     model limit stopped the search, and UNKNOWN if a budget ran out.
     Learned and blocking nogoods stay in ``store``, as in ``solve``.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"model limit must be at least 1 or None, not {limit}")
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     search = _Search(store, cfg)

@@ -236,6 +236,19 @@ def test_06_pigeonhole_refutations_need_no_search_under_interval_forms():
     assert time.monotonic() - started <= 60
 
 
+def test_06_native_pigeonhole_refutations_need_no_search_either():
+    # test_06's refutations on the shipped path: the native counting
+    # constraints prune Hall intervals at the root, as the ladder does
+    started = time.monotonic()
+    for n in range(4, 17):
+        inst = gen_php(n)
+        for kind_name in ("bound", "range"):
+            _, res = solve_encoded(inst, kind_name, method="native")
+            assert res.status == UNSAT, (n, kind_name)
+            assert res.stats.decisions == 0, (n, kind_name)
+    assert time.monotonic() - started <= 60
+
+
 def test_07_translation_sizes_grow_at_their_expected_rates():
     ns = [8, 10, 12, 14, 16]
     slopes = {}
@@ -334,6 +347,18 @@ def test_09_watched_propagation_matches_the_reference_scanner():
         sl("a3", True),
         sl("a2", True),
     ]
+
+
+def test_10_native_quasigroup_completions_decode_to_solutions():
+    # test_10's quasigroup half on the shipped path: native counting
+    for seed in range(20):
+        inst = gen_qcp(10, 30, seed)
+        started = time.monotonic()
+        enc, res = solve_encoded(inst, "support", method="native", timeout_s=10.0)
+        elapsed = time.monotonic() - started
+        assert res.status == SAT, seed
+        assert elapsed <= 10.0, seed
+        assert check_solution(inst, decode(enc, res.assignment)), seed
 
 
 def test_10_benchmark_sanity_quasigroups_and_the_graceful_double_wheel():

@@ -27,13 +27,13 @@ from cspasp.csp import (
     format_instance,
 )
 from cspasp.encoder import EncodingKind, EncodingPropagator, encode
-from cspasp.program import completion_nogoods, normalize_cardinality
+from cspasp.program import completion_nogoods
 from cspasp.solver import SAT, UNSAT, solve
 
 
 def solve_instance(inst, kind="support"):
     enc = encode(inst, EncodingKind(kind))
-    store = completion_nogoods(normalize_cardinality(enc.program))
+    store = completion_nogoods(enc.program)
     return enc, solve(store)
 
 
@@ -140,7 +140,7 @@ def test_qep_counts_match_exhaustive_search_at_order_three(axiom):
     inst = gen_qep(axiom, 3)
     want = enumerate_solutions(inst)
     enc = encode(inst, EncodingKind("support"))
-    store = completion_nogoods(normalize_cardinality(enc.program))
+    store = completion_nogoods(enc.program)
     from cspasp.solver import enumerate_models
 
     models, _, status = enumerate_models(store)

@@ -179,17 +179,15 @@ def test_solve_emit_nogoods(capsys, tmp_path):
     assert "e(x,1)" in text and "\n" in text
 
 
-@pytest.mark.parametrize("method", ["native", "counter", "binomial"])
-def test_solve_accounts_for_cardinality_rules_under_every_method(capsys, tmp_path, method):
+def test_solve_keeps_cardinality_rules_as_counting_constraints(capsys, tmp_path):
     src = write(tmp_path, "tiny.csp", TINY)
     dump = tmp_path / "ng.txt"
-    code, out, _ = run(capsys, "solve", "-e", "support", "--method", method,
-                       "--emit-nogoods", str(dump), src)
+    code, out, _ = run(capsys, "solve", "-e", "support", "--emit-nogoods", str(dump), src)
     assert code == 10 and out.startswith("SAT")
     counted = [line for line in dump.read_text().splitlines() if line.startswith(":- 2 {")]
-    # native keeps the at-most-one rules (one per variable, one per value)
-    assert len(counted) == (4 if method == "native" else 0)
-    assert ("_cnt" in dump.read_text()) == (method == "counter")
+    # the at-most-one rules (one per variable, one per value), with no ladder
+    assert len(counted) == 4
+    assert "_cnt" not in dump.read_text()
 
 
 # -- errors ----------------------------------------------------------------------
@@ -219,6 +217,11 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--nope"])
     assert exc.value.code == 1
+    # cardinality rules have one treatment, so no subcommand selects one
+    for argv in (["solve", "x.csp"], ["check"], ["bench", "--spec", "php:n=4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--method", "counter"])
+        assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1

@@ -1,5 +1,6 @@
 """Translations to ground programs: structure, seeding, decoding, boxes."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -110,6 +111,27 @@ def test_single_variable_upper_bound_translation():
     ]
 
 
+def test_upper_bound_interval_atoms_are_defined_by_one_rule_each():
+    # each r(v,l,u) a counting rule reads gets its defining rule and no
+    # integrity rules linking it back to b: completion already does that
+    text = "var x 1 2\nvar y 1 2\nalldifferent x y\n"
+    enc = encode(parse_instance(text), EncodingKind("bound"))
+    assert emit_ground(enc.program).splitlines() == [
+        "{b(x,1); b(x,2)}.",
+        ":- b(x,1), not b(x,2).",
+        ":- not b(x,2).",
+        "{b(y,1); b(y,2)}.",
+        ":- b(y,1), not b(y,2).",
+        ":- not b(y,2).",
+        ":- 2 {r(x,1,1); r(y,1,1)}.",
+        ":- 2 {r(x,2,2); r(y,2,2)}.",
+        "r(x,1,1) :- b(x,1).",
+        "r(x,2,2) :- not b(x,1), b(x,2).",
+        "r(y,1,1) :- b(y,1).",
+        "r(y,2,2) :- not b(y,1), b(y,2).",
+    ]
+
+
 def test_single_variable_interval_translation_carves_holes():
     enc = encode(parse_instance("var x { 3 5 }\n"), EncodingKind("range"))
     lines = emit_ground(enc.program).splitlines()
@@ -127,9 +149,9 @@ def test_all_translations_are_tight_and_completion_ready():
     for _ in range(25):
         inst = random_instance(rng, max_vars=4, max_dom=4)
         for name in ENCODING_NAMES:
-            norm = normalize_cardinality(encode(inst, EncodingKind(name)).program)
-            assert is_tight(norm), name
-            completion_nogoods(norm)  # must not raise
+            program = encode(inst, EncodingKind(name)).program
+            assert is_tight(program), name
+            completion_nogoods(program)  # must not raise
 
 
 # -- seeding domain states into partial assignments ---------------------------------
@@ -216,7 +238,7 @@ def test_hall_size_cap_keeps_solutions():
     inst = gen_php(4)  # unsatisfiable, so enumeration must stay empty
     for hl in (1, 2):
         enc = encode(inst, EncodingKind("range", hall_limit=hl))
-        store = completion_nogoods(normalize_cardinality(enc.program))
+        store = completion_nogoods(enc.program)
         models, _, status = enumerate_models(store)
         assert (models, status) == ([], "UNSAT"), hl
 
@@ -304,7 +326,9 @@ def test_propagator_matches_naive_propagation(kind_name, monkeypatch):
         inst = random_instance(rng, max_vars=3, max_dom=3)
         enc = encode(inst, EncodingKind(kind_name))
         native = EncodingPropagator(enc)
-        counter = EncodingPropagator(enc, "counter")
+        counter = EncodingPropagator(
+            dataclasses.replace(enc, program=normalize_cardinality(enc.program, "counter"))
+        )
         counted += bool(native.store.cardinalities)
         for _ in range(5):
             state = random_state(rng, inst)
@@ -385,7 +409,7 @@ def test_pruned_domains_reads_back_partial_assignments():
 
 def model_solutions(inst, kind):
     enc = encode(inst, EncodingKind(kind))
-    store = completion_nogoods(normalize_cardinality(enc.program))
+    store = completion_nogoods(enc.program)
     models, _, status = enumerate_models(store)
     assert status == "UNSAT"  # enumeration ran to exhaustion
     return enc, models

@@ -45,12 +45,12 @@ a, b = Atom("a"), Atom("b")
 
 def php_store(n, kind="support", hall_limit=None):
     enc = encode(gen_php(n), EncodingKind(kind, hall_limit))
-    return completion_nogoods(normalize_cardinality(enc.program))
+    return completion_nogoods(enc.program)
 
 
 def qcp_store(order, fill, seed):
     enc = encode(gen_qcp(order, fill, seed), EncodingKind("support"))
-    return completion_nogoods(normalize_cardinality(enc.program))
+    return completion_nogoods(enc.program)
 
 
 # -- restart schedule ---------------------------------------------------------------
@@ -392,6 +392,17 @@ def test_enumeration_handles_decision_free_models():
 
 def test_enumeration_of_unsatisfiable_store():
     models, _, status = enumerate_models(php_store(4))
+    assert (models, status) == ([], UNSAT)
+
+
+def test_enumeration_rejects_a_limit_below_one():
+    # a zero limit would report SAT with no models, even on this UNSAT store
+    program = GroundProgram((ChoiceRule((a,)), IntegrityRule((Lit(a),)),
+                             IntegrityRule((Lit(a, False),))))
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_models(completion_nogoods(program), limit=limit)
+    models, _, status = enumerate_models(completion_nogoods(program), limit=1)
     assert (models, status) == ([], UNSAT)
 
 
