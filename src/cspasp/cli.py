@@ -34,7 +34,7 @@ from .encoder import (
 )
 from .errors import CapExceeded
 from .program import completion_nogoods, emit_ground, parse_ground
-from .propagation import dump_nogoods
+from .propagation import BodyId, NogoodStore, dump_nogoods
 from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models, solve
 
 # the consistency level each encoding's propagation is meant to reach
@@ -145,6 +145,7 @@ def _cmd_solve(args) -> int:
             enc = encode(instance, _kind(args))
             program = enc.program
     store = completion_nogoods(program)
+    sizes = _store_sizes(store)  # before the search adds nogoods
     if args.emit_nogoods:
         _write_text(args.emit_nogoods, dump_nogoods(store))
     cfg = SolverConfig(timeout_s=args.timeout)
@@ -158,7 +159,7 @@ def _cmd_solve(args) -> int:
             out.extend(_model_lines(enc, program, model, headered))
         out.append(f"models = {len(models)}")
         if args.stats:
-            out.append(stats.as_text())
+            out.append(f"{stats.as_text()} {sizes}")
         _write_text(args.output, "\n".join(out) + "\n")
         if status == UNKNOWN:
             return 2
@@ -170,13 +171,21 @@ def _cmd_solve(args) -> int:
     else:
         out.append(result.status)
     if args.stats:
-        out.append(result.stats.as_text())
+        out.append(f"{result.stats.as_text()} {sizes}")
     _write_text(args.output, "\n".join(out) + "\n")
     if result.status == SAT:
         return 10
     if result.status == UNSAT:
         return 20
     return 2
+
+
+def _store_sizes(store: NogoodStore) -> str:
+    bodies = sum(isinstance(e, BodyId) for e in store.entities)
+    return (
+        f"entities={store.n_entities} bodies={bodies} "
+        f"nogoods={store.n_static} cardinalities={len(store.cardinalities)}"
+    )
 
 
 def _model_lines(enc, program, assignment, headered):

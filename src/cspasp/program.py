@@ -394,21 +394,29 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
 
     Entities are the program's atoms (in first-occurrence order, so they
     come first) followed by one BodyId per structurally distinct normal
-    or choice body.  Per body beta = {a1..am, not am+1..an} the store receives
+    or choice body that no atom stands for.  An atom that heads exactly
+    one normal rule and no choice rule is equivalent to that rule's body,
+    so it becomes the body's entity when that body is new (equivalence
+    preprocessing, Gebser et al., ECAI 2008); later rules over the same
+    body use the atom.  Per body beta = {a1..am, not am+1..an}, with beta
+    a BodyId or such an atom, the store receives
 
         {T a1, ..., T am, F am+1, ..., F an, F beta}
         {F ai, T beta}  for i <= m      {T aj, T beta}  for j > m
 
-    and per atom a with body entities beta1..betak (normal and choice)
+    with repeated literals merged, so ``a :- not a`` gives the units
+    {F a} and {T a}.  Every other atom a, with body entities
+    beta1..betak (normal and choice), gets
 
         {T a, F beta1, ..., F betak}
 
     plus {T beta, F a} for each *normal* body, since only normal rules
     force their head.  Atoms that head no rule at all end up with the
     unit {T a}.  An integrity rule ``:- B`` gives the one nogood B; only
-    ``:- .``, with no literal to put in it, gets a body beta and {T beta}.
-    A cardinality rule ``:- k {l1..ln}`` becomes the store's cardinality
-    constraint over the literals' codes (see ``add_cardinality``).
+    ``:- .``, with no literal to put in it, interns the empty body beta
+    and gets {T beta}.  A cardinality rule ``:- k {l1..ln}`` becomes the
+    store's cardinality constraint over the literals' codes (see
+    ``add_cardinality``).
 
     Completion characterizes answer sets only for tight programs, so a
     program that is not tight is rejected.
@@ -419,6 +427,13 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     store = NogoodStore()
     atoms = program.atoms()
     atom_idx = {a: store.intern(a) for a in atoms}
+    n_normal: dict[Atom, int] = {}
+    choice_heads: set[Atom] = set()
+    for rule in program.rules:
+        if isinstance(rule, NormalRule):
+            n_normal[rule.head] = n_normal.get(rule.head, 0) + 1
+        elif isinstance(rule, ChoiceRule):
+            choice_heads.update(rule.heads)
 
     body_ids: dict[frozenset, int] = {}  # frozenset of lit codes -> entity index
     normal_bodies: dict[Atom, list[int]] = {}
@@ -428,26 +443,32 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     def body_codes(body: tuple[Lit, ...]) -> list[int]:
         return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
 
-    def intern_body(body: tuple[Lit, ...]) -> int:
+    def intern_body(body: tuple[Lit, ...], head: Atom | None = None) -> int:
+        """The body's entity: ``head``'s own if given and the body is new."""
         lit_codes = body_codes(body)
         key = frozenset(lit_codes)
         bidx = body_ids.get(key)
         if bidx is not None:
             return bidx
-        bidx = store.intern(BodyId(len(body_ids)))
+        if head is None:
+            bidx = store.intern(BodyId(store.n_entities - len(atoms)))
+        else:
+            bidx = atom_idx[head]
         body_ids[key] = bidx
         fb = 2 * bidx + 1
         tb = 2 * bidx
-        add(lit_codes + [fb])
+        add(sorted(key | {fb}))
         for lc in lit_codes:
             # complement of the body literal together with T beta
-            add(sorted((lc ^ 1, tb)))
+            add(sorted({lc ^ 1, tb}))
         return bidx
 
     for rule in program.rules:
         if isinstance(rule, NormalRule):
-            bidx = intern_body(rule.body)
-            normal_bodies.setdefault(rule.head, []).append(bidx)
+            head = rule.head
+            own = n_normal[head] == 1 and head not in choice_heads
+            bidx = intern_body(rule.body, head if own else None)
+            normal_bodies.setdefault(head, []).append(bidx)
         elif isinstance(rule, ChoiceRule):
             bidx = intern_body(rule.body)
             for head in rule.heads:
@@ -464,10 +485,13 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
 
     for atom in atoms:
         aidx = atom_idx[atom]
-        support = {2 * bidx + 1 for bidx in normal_bodies.get(atom, ())}
+        normal = normal_bodies.get(atom, [])
+        if normal == [aidx]:
+            continue  # the atom is its body: the body's nogoods define it
+        support = {2 * bidx + 1 for bidx in normal}
         support.update(2 * bidx + 1 for bidx in choice_bodies.get(atom, ()))
         add(sorted(support | {2 * aidx}))
-        for bidx in sorted(set(normal_bodies.get(atom, ()))):
+        for bidx in sorted(set(normal)):
             add(sorted((2 * bidx, 2 * aidx + 1)))
     return store
 

@@ -82,11 +82,12 @@ class NogoodStore:
         self._index: dict[Any, int] = {}
         self.nogoods: list[Nogood] = []
         self.units: list[int] = []  # ids of size-1 nogoods, never watched
-        self.watches: dict[int, list[int]] = {}
+        # indexed by literal code, grown in intern
+        self.watches: list[list[int]] = []
         self._static_keys: dict[tuple[int, ...], int] = {}
         self.n_static = 0
         self.cardinalities: list[Cardinality] = []
-        self.card_watches: dict[int, list[int]] = {}
+        self.card_watches: list[list[int]] = []
 
     # -- entities and codes ------------------------------------------------
 
@@ -96,6 +97,8 @@ class NogoodStore:
             idx = len(self.entities)
             self._index[entity] = idx
             self.entities.append(entity)
+            self.watches += [], []
+            self.card_watches += [], []
         return idx
 
     def index_of(self, entity) -> int | None:
@@ -151,8 +154,8 @@ class NogoodStore:
         if len(codes) == 1:
             self.units.append(ng_id)
         else:
-            self.watches.setdefault(codes[0], []).append(ng_id)
-            self.watches.setdefault(codes[1], []).append(ng_id)
+            self.watches[codes[0]].append(ng_id)
+            self.watches[codes[1]].append(ng_id)
         if not learned:
             self.n_static += 1
         return ng_id
@@ -177,7 +180,7 @@ class NogoodStore:
         j = len(self.cardinalities)
         self.cardinalities.append(Cardinality(k, lits))
         for c in lits:
-            self.card_watches.setdefault(c, []).append(j)
+            self.card_watches[c].append(j)
         return ~j
 
     def lits_of(self, ng_id: int, trail: Trail, implied: int | None = None) -> list[int]:
@@ -200,12 +203,20 @@ class NogoodStore:
         before = pos_of[implied >> 1]
         return [implied ^ 1] + [c for c in held if pos_of[c >> 1] < before]
 
-    def delete(self, ng_id: int) -> None:
-        """Mark a learned nogood deleted; watch lists are cleaned lazily."""
-        ng = self.nogoods[ng_id]
-        if not ng.learned:
-            raise ValueError("static nogoods are permanent")
-        ng.deleted = True
+    def delete(self, ng_ids: Iterable[int]) -> None:
+        """Delete learned nogoods: mark them and drop them from the watch
+        lists of their two watched literals, keeping the others' order."""
+        gone = set(ng_ids)
+        touched = set()
+        for ng_id in gone:
+            ng = self.nogoods[ng_id]
+            if not ng.learned:
+                raise ValueError("static nogoods are permanent")
+            ng.deleted = True
+            touched.update(ng.lits[:2])
+        watches = self.watches
+        for c in touched:
+            watches[c] = [i for i in watches[c] if i not in gone]
 
 
 class Trail:
@@ -321,42 +332,31 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     while head < len(codes):
         sigma = codes[head]
         head += 1
-        cw = card_watches.get(sigma)
-        if cw:
-            for j in cw:
-                bound, lits = cards[j]
-                held = 0
-                for c in lits:
-                    if values[c >> 1] == 1 + (c & 1):
-                        held += 1
-                if held < bound - 1:
-                    continue
-                if held >= bound:
-                    trail.head = head
-                    return ~j
-                for c in lits:
-                    idx = c >> 1
-                    # re-read: forcing "a" false makes a "not a" of the
-                    # same constraint hold, and the next visit counts it
-                    if values[idx] == 0:
-                        values[idx] = 2 - (c & 1)
-                        level_of[idx] = level
-                        reason_of[idx] = ~j
-                        pos_of[idx] = len(codes)
-                        codes.append(c ^ 1)
-        wl = watches.get(sigma)
-        if not wl:
-            continue
-        write = 0
-        i = 0
-        n_watchers = len(wl)
-        while i < n_watchers:
-            ng_id = wl[i]
-            i += 1
-            ng = nogoods[ng_id]
-            if ng.deleted:
+        for j in card_watches[sigma]:
+            bound, lits = cards[j]
+            held = 0
+            for c in lits:
+                if values[c >> 1] == 1 + (c & 1):
+                    held += 1
+            if held < bound - 1:
                 continue
-            lits = ng.lits
+            if held >= bound:
+                trail.head = head
+                return ~j
+            for c in lits:
+                idx = c >> 1
+                # re-read: forcing "a" false makes a "not a" of the
+                # same constraint hold, and the next visit counts it
+                if values[idx] == 0:
+                    values[idx] = 2 - (c & 1)
+                    level_of[idx] = level
+                    reason_of[idx] = ~j
+                    pos_of[idx] = len(codes)
+                    codes.append(c ^ 1)
+        wl = watches[sigma]
+        write = 0
+        for i, ng_id in enumerate(wl):
+            lits = nogoods[ng_id].lits
             other = lits[1] if lits[0] == sigma else lits[0]
             ov = values[other >> 1]
             if ov == 2 - (other & 1):
@@ -364,7 +364,6 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
                 wl[write] = ng_id
                 write += 1
                 continue
-            moved = False
             for k in range(2, len(lits)):
                 c = lits[k]
                 if values[c >> 1] != 1 + (c & 1):
@@ -374,25 +373,24 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
                     else:
                         lits[1] = c
                     lits[k] = sigma
-                    watches.setdefault(c, []).append(ng_id)
-                    moved = True
+                    watches[c].append(ng_id)
                     break
-            if moved:
-                continue
-            wl[write] = ng_id
-            write += 1
-            if ov == 0:
-                idx = other >> 1
-                values[idx] = 2 - (other & 1)
-                level_of[idx] = level
-                reason_of[idx] = ng_id
-                pos_of[idx] = len(codes)
-                codes.append(other ^ 1)
             else:
-                # every literal holds: violation
-                wl[write:] = wl[i:]
-                trail.head = head
-                return ng_id
+                # no replacement watch: the nogood is unit or violated
+                wl[write] = ng_id
+                write += 1
+                if ov == 0:
+                    idx = other >> 1
+                    values[idx] = 2 - (other & 1)
+                    level_of[idx] = level
+                    reason_of[idx] = ng_id
+                    pos_of[idx] = len(codes)
+                    codes.append(other ^ 1)
+                else:
+                    # every literal holds: violation
+                    wl[write:] = wl[i + 1:]
+                    trail.head = head
+                    return ng_id
         del wl[write:]
     trail.head = head
     return None

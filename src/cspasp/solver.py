@@ -151,7 +151,6 @@ class _Search:
         self.heap = [(0.0, i) for i in range(n) if self.decidable[i]]
         heapq.heapify(self.heap)
         self.phase = bytearray(n)
-        self.ng_bump = 1.0
         self.restart_index = 1
         self.budget = LUBY_UNIT * luby(1)
         self.n_learned_live = sum(
@@ -164,38 +163,40 @@ class _Search:
     # -- heuristics ---------------------------------------------------------
 
     def bump_entity(self, idx: int) -> None:
+        """Raise an entity's activity.  The entity is on the trail, so it
+        needs no heap entry until ``on_backjump`` unassigns it."""
         act = self.activity[idx] + self.bump
         self.activity[idx] = act
-        if self.decidable[idx]:
-            heapq.heappush(self.heap, (-act, idx))
         if act > 1e100:
-            self.activity = [a * 1e-100 for a in self.activity]
-            self.bump *= 1e-100
-            self.heap = [
-                (-self.activity[i], i) for i in range(len(self.activity)) if self.decidable[i]
-            ]
-            heapq.heapify(self.heap)
+            self.rescale()
 
-    def decay(self) -> None:
-        self.bump /= ACTIVITY_DECAY
-        self.ng_bump /= ACTIVITY_DECAY
+    def rescale(self) -> None:
+        """Scale every entity and learned-nogood activity, and the bump
+        they share, down by 1e-100 before they overflow."""
+        self.activity = [a * 1e-100 for a in self.activity]
+        self.bump *= 1e-100
+        for ng in self.store.nogoods:
+            if ng.learned:
+                ng.activity *= 1e-100
+        self.heap = [
+            (-self.activity[i], i) for i in range(len(self.activity)) if self.decidable[i]
+        ]
+        heapq.heapify(self.heap)
 
     def pick(self) -> int | None:
+        """The unassigned decidable entity least by (-activity, index).
+
+        Every such entity has a heap entry at its current activity: from
+        the start, from ``on_backjump`` or from ``rescale``.  Entries whose
+        activity has changed since are stale and skipped.
+        """
         values = self.trail.values
+        activity = self.activity
         heap = self.heap
         while heap:
             negact, idx = heapq.heappop(heap)
-            if values[idx] == 0 and -negact == self.activity[idx]:
+            if values[idx] == 0 and -negact == activity[idx]:
                 return idx
-        # stale entries may have starved the heap; rebuild from scratch
-        self.heap = [
-            (-self.activity[i], i)
-            for i in range(len(values))
-            if self.decidable[i] and values[i] == 0
-        ]
-        heapq.heapify(self.heap)
-        if self.heap:
-            return heapq.heappop(self.heap)[1]
         return None
 
     # -- learned-store management --------------------------------------------
@@ -216,9 +217,9 @@ class _Search:
             if ng.learned and not ng.deleted and i not in locked and len(ng.lits) > 2
         ]
         victims.sort(key=lambda i: store.nogoods[i].activity)
-        for i in victims[: len(victims) // 2]:
-            store.delete(i)
-            self.n_learned_live -= 1
+        del victims[len(victims) // 2:]
+        store.delete(victims)
+        self.n_learned_live -= len(victims)
 
     # -- main loop -------------------------------------------------------------
 
@@ -257,11 +258,11 @@ class _Search:
                 for idx in seen:
                     self.bump_entity(idx)
                 if conflict >= 0 and store.nogoods[conflict].learned:
-                    store.nogoods[conflict].activity += self.ng_bump
-                self.decay()
+                    store.nogoods[conflict].activity += self.bump
+                self.bump /= ACTIVITY_DECAY
                 self.on_backjump(trail.backjump(jump))
                 ng_id = store.add_codes(learned, learned=True)
-                store.nogoods[ng_id].activity = self.ng_bump
+                store.nogoods[ng_id].activity = self.bump
                 stats.learned += 1
                 self.n_learned_live += 1
                 if len(learned) > 1:

@@ -83,6 +83,14 @@ def test_solve_stats_line(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--stats", path)
     assert code == 10
     assert out.splitlines()[-1].startswith("decisions=")
+    # the store sizes follow the search counters; under bound the four
+    # b atoms and four r(v,l,u) atoms are entities, and the only body is
+    # the choice rules' empty one
+    code, out, _ = run(capsys, "solve", "-e", "bound", "--stats", path)
+    assert code == 10
+    fields = dict(field.split("=") for field in out.splitlines()[-1].split())
+    sizes = {k: int(fields[k]) for k in ("entities", "bodies", "nogoods", "cardinalities")}
+    assert sizes == {"entities": 9, "bodies": 1, "nogoods": 19, "cardinalities": 2}
 
 
 def test_piped_encode_output_solves_identically(capsys, tmp_path, monkeypatch):

@@ -40,7 +40,7 @@ from cspasp.program import (
     is_tight,
     normalize_cardinality,
 )
-from cspasp.propagation import SignedLiteral, propagate_naive
+from cspasp.propagation import BodyId, SignedLiteral, propagate_naive
 from cspasp.solver import enumerate_models
 
 from .helpers import check_trail
@@ -152,6 +152,28 @@ def test_all_translations_are_tight_and_completion_ready():
             program = encode(inst, EncodingKind(name)).program
             assert is_tight(program), name
             completion_nogoods(program)  # must not raise
+
+
+def test_interval_atoms_have_no_body_entity_of_their_own():
+    # each r(v,l,u) heads one normal rule and no choice rule, so
+    # completion makes the atom its body's entity: no {T beta, F r} link
+    rng = random.Random("interval-bodies")
+    n_r = dict.fromkeys(("bound", "range"), 0)
+    for _ in range(10):
+        inst = random_instance(rng, max_vars=4, max_dom=4)
+        for name in ("bound", "range"):
+            store = completion_nogoods(encode(inst, EncodingKind(name)).program)
+            r_idx = {
+                i for i, e in enumerate(store.entities)
+                if isinstance(e, Atom) and e.name == "r"
+            }
+            n_r[name] += len(r_idx)
+            bodies = {i for i, e in enumerate(store.entities) if isinstance(e, BodyId)}
+            for ng in store.nogoods:
+                if len(ng.lits) == 2:
+                    t, f = sorted(ng.lits, key=lambda c: c & 1)
+                    assert not (t >> 1 in bodies and f & 1 and f >> 1 in r_idx), name
+    assert all(n_r.values()), n_r
 
 
 # -- seeding domain states into partial assignments ---------------------------------

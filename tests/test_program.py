@@ -249,6 +249,152 @@ def test_completion_installs_cardinality_rules_natively():
         completion_nogoods(GroundProgram(("not a rule",)))
 
 
+def shapes_of(store):
+    return [frozenset(store.literal(code) for code in ng.lits) for ng in store.nogoods]
+
+
+def shape(*pairs):
+    return frozenset(SignedLiteral(entity, truth) for entity, truth in pairs)
+
+
+def test_single_rule_atom_is_its_own_body_entity():
+    program = GroundProgram((ChoiceRule((b, c)), NormalRule(a, lits((b, True), (c, False)))))
+    store = completion_nogoods(program)
+    assert store.entities == [b, c, a, BodyId(0)]  # body#0 is the choice's
+    about_a = [ng for ng in shapes_of(store) if any(lit.entity is a for lit in ng)]
+    assert len(about_a) == 3 and set(about_a) == {
+        shape((b, True), (c, False), (a, False)),  # {B, F a}
+        shape((b, False), (a, True)),  # {not l1, T a}
+        shape((c, True), (a, True)),  # {not l2, T a}
+    }
+    assert store_answer_sets(program) == set(brute_force_answer_sets(program))
+
+
+def test_fact_completes_to_one_unit():
+    store = completion_nogoods(GroundProgram((NormalRule(a, ()),)))
+    assert store.entities == [a]
+    assert shapes_of(store) == [shape((a, False))]
+
+
+def test_head_in_its_own_negative_body_gives_two_units():
+    # NormalRule rejects "a :- not a."; completion must still merge the
+    # repeated literal rather than rely on that
+    rule = object.__new__(NormalRule)
+    object.__setattr__(rule, "head", a)
+    object.__setattr__(rule, "body", lits((a, False)))
+    program = GroundProgram((rule,))
+    store = completion_nogoods(program)
+    assert store.entities == [a]
+    assert sorted(ng.lits for ng in store.nogoods) == [[0], [1]]  # {T a}, {F a}
+    assert solve(store).status == UNSAT
+    assert brute_force_answer_sets(program) == []
+
+
+def test_second_single_rule_atom_over_a_body_is_linked_to_the_first():
+    program = GroundProgram(
+        (ChoiceRule((c,)), NormalRule(a, lits((c, True))), NormalRule(b, lits((c, True))))
+    )
+    store = completion_nogoods(program)
+    assert store.entities == [c, a, b, BodyId(0)]
+    got = shapes_of(store)
+    assert shape((a, True), (b, False)) in got
+    assert shape((b, True), (a, False)) in got
+    assert shape((c, True), (b, False)) not in got  # b has no body nogoods
+    assert store_answer_sets(program) == {frozenset(), frozenset({a, b, c})}
+
+
+@pytest.mark.parametrize("choice_first", [False, True])
+def test_body_shared_with_a_choice_rule(choice_first):
+    rules = [NormalRule(a, lits((c, True))), ChoiceRule((b,), lits((c, True)))]
+    if choice_first:
+        rules.reverse()
+    program = GroundProgram([ChoiceRule((c,))] + rules)
+    store = completion_nogoods(program)
+    got = shapes_of(store)
+    if choice_first:
+        # the choice interned {c} first, so a links to that body
+        assert store.entities == [c, b, a, BodyId(0), BodyId(1)]
+        assert shape((a, True), (BodyId(1), False)) in got
+        assert shape((BodyId(1), True), (a, False)) in got
+        assert shape((b, True), (BodyId(1), False)) in got
+    else:
+        # the choice over {c} reuses a's entity as its body
+        assert store.entities == [c, a, b, BodyId(0)]
+        assert shape((b, True), (a, False)) in got
+        assert shape((a, True), (b, False)) not in got  # a choice forces nothing
+    assert store_answer_sets(program) == set(brute_force_answer_sets(program))
+
+
+def test_atom_with_two_normal_rules_keeps_its_bodies():
+    program = GroundProgram(
+        (ChoiceRule((b, c)), NormalRule(a, lits((b, True))), NormalRule(a, lits((c, True))))
+    )
+    store = completion_nogoods(program)
+    assert store.entities == [b, c, a, BodyId(0), BodyId(1), BodyId(2)]
+    got = shapes_of(store)
+    assert shape((a, True), (BodyId(1), False), (BodyId(2), False)) in got
+    assert shape((BodyId(1), True), (a, False)) in got
+    assert shape((BodyId(2), True), (a, False)) in got
+    assert store_answer_sets(program) == set(brute_force_answer_sets(program))
+
+
+def test_choice_head_with_one_normal_rule_keeps_its_body():
+    program = GroundProgram((ChoiceRule((a, b)), NormalRule(a, lits((b, True)))))
+    store = completion_nogoods(program)
+    assert store.entities == [a, b, BodyId(0), BodyId(1)]
+    got = shapes_of(store)
+    assert shape((a, True), (BodyId(0), False), (BodyId(1), False)) in got
+    assert shape((BodyId(1), True), (a, False)) in got
+    assert store_answer_sets(program) == set(brute_force_answer_sets(program))
+
+
+@pytest.mark.parametrize("fact_first", [True, False])
+def test_empty_integrity_body_beside_a_fact(fact_first):
+    rules = [NormalRule(a, ()), IntegrityRule(())]
+    if not fact_first:
+        rules.reverse()
+    program = GroundProgram(rules)
+    store = completion_nogoods(program)
+    if fact_first:
+        # ":- ." finds the empty body in a, the fact's own entity
+        assert store.entities == [a]
+        assert sorted(ng.lits for ng in store.nogoods) == [[0], [1]]  # {T a}, {F a}
+    else:
+        assert store.entities == [a, BodyId(0)]
+    assert brute_force_answer_sets(program) == []
+    assert solve(store).status == UNSAT
+
+
+def test_completion_matches_answer_sets_on_random_shared_bodies():
+    # bodies drawn from a small pool, so single-rule atoms, atoms with
+    # several rules and choice rules often share one body entity
+    rng = random.Random("shared-bodies")
+    atoms = [Atom("s", (i,)) for i in range(6)]
+    collapsed = 0
+    for trial in range(200):
+        pool = []
+        for _ in range(3):
+            # only atoms below the head may occur positively: tight
+            chosen = rng.sample(atoms[:4], rng.randint(0, 2))
+            pool.append(tuple(Lit(at, rng.random() < 0.5) for at in chosen))
+        rules = [ChoiceRule(tuple(atoms[:2]))]
+        for _ in range(rng.randint(1, 6)):
+            head = atoms[rng.randrange(4, 6)]
+            body = rng.choice(pool)
+            if rng.random() < 0.2:
+                rules.append(ChoiceRule((head,), body))
+            else:
+                rules.append(NormalRule(head, body))
+        program = GroundProgram(rules)
+        store = completion_nogoods(program)
+        assert all(len(set(ng.lits)) == len(ng.lits) for ng in store.nogoods)
+        bodies = sum(isinstance(e, BodyId) for e in store.entities)
+        collapsed += bodies < len({frozenset(r.body) for r in rules})
+        want = set(brute_force_answer_sets(program))
+        assert store_answer_sets(program) == want, (trial, emit_ground(program))
+    assert collapsed > 20
+
+
 def test_completion_matches_answer_sets_on_random_tight_programs():
     rng = random.Random("tight")
     for trial in range(200):

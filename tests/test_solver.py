@@ -270,6 +270,24 @@ def test_reduction_spares_only_reasons_on_the_live_trail(monkeypatch):
     search.reduce_learned()
     deleted = [store.nogoods[i].deleted for i in (stale, idle, live)]
     assert deleted == [True, False, False]
+    # a deleted nogood leaves the watch lists at once; the rest stay watched
+    watched = [ng_id for wl in store.watches for ng_id in wl]
+    assert sorted(watched) == sorted(2 * [idle, live])
+
+
+def test_activities_stay_finite_past_the_overflow_point():
+    # entity and learned-nogood activities share one bump, divided by the
+    # decay on every conflict; started near the float limit, the search
+    # must rescale both rather than let learned activities reach inf
+    store = php_store(7)  # about 700 conflicts; 1e300 overflows after 370
+    search = _Search(store, SolverConfig(max_conflicts=500))
+    search.bump = 1e300
+    assert search.run() == UNKNOWN
+    assert search.stats.conflicts == 500
+    learned = [ng.activity for ng in store.nogoods if ng.learned]
+    assert learned and all(0 < act < 1e101 for act in learned)
+    assert all(act < 1e101 for act in search.activity)
+    assert search.bump < 1e101
 
 
 # -- native cardinality constraints -------------------------------------------------
