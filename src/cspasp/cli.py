@@ -137,8 +137,11 @@ def _cmd_solve(args) -> int:
         except ValueError as instance_error:
             try:
                 program = parse_ground(text)
-            except ValueError:
-                raise instance_error from None
+            except ValueError as program_error:
+                raise ValueError(
+                    f"not a CSP instance ({instance_error}) "
+                    f"nor a ground program ({program_error})"
+                ) from None
             if encoding_flags:
                 raise ValueError("a ground program has no encoding to set; drop -e/--hall-limit")
         else:

@@ -19,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .csp import (
     ALLDIFFERENT,
     BOUND_CONSISTENCY,
@@ -50,7 +48,7 @@ from .propagation import SignedLiteral, Trail, unit_propagate
 ENCODING_NAMES = ("direct", "support", "bound", "range")
 
 TABLE_COMPLEMENT_CAP = 10 ** 6
-BOX_GRID_CAP = 3 * 10 ** 7
+BOX_SLAB_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -183,28 +181,27 @@ def _support_distinct(instance, emap, c, rules):
             rules.append(IntegrityRule(lits))
 
 
-def _effective_tuples(emap, c):
-    """The constraint's forbidden set, in internal coordinates.
+def _table_tuples(emap, c, polarity):
+    """The assignable tuples that are ``polarity`` under the constraint,
+    sorted, in internal coordinates.
 
-    Allowed tables are complemented against the product of the initial
-    domains (capped); forbidden tables are filtered to tuples that are
-    actually assignable.
+    The tuples of the other polarity are complemented against the
+    product of the initial domains (capped); tuples of the same polarity
+    are filtered to those that are actually assignable.
     """
     domains = [emap.values[v] for v in c.scope]
     membs = [set(dom) for dom in domains]
-    internal = set()
+    listed = set()
     for t in c.tuples:
         it = tuple(emap.internal(x) for x in t)
         if all(x in memb for x, memb in zip(it, membs)):
-            internal.add(it)
-    if c.polarity == "forbidden":
-        return sorted(internal)
+            listed.add(it)
+    if c.polarity == polarity:
+        return sorted(listed)
     size = math.prod(len(d) for d in domains)
     if size > TABLE_COMPLEMENT_CAP:
-        raise CapExceeded(
-            f"complementing an allowed table needs {size} candidate tuples"
-        )
-    return sorted(t for t in itertools.product(*domains) if t not in internal)
+        raise CapExceeded(f"complementing a {c.polarity} table needs {size} candidate tuples")
+    return [t for t in itertools.product(*domains) if t not in listed]
 
 
 def _value_lane_table(instance, emap, c, rules, support):
@@ -214,7 +211,7 @@ def _value_lane_table(instance, emap, c, rules, support):
     if not support or arity != 2:
         # the direct form; for wide tables under support it also backs up
         # the pairwise support rules, which alone cannot reject every tuple
-        for t in _effective_tuples(emap, c):
+        for t in _table_tuples(emap, c, "forbidden"):
             rules.append(
                 IntegrityRule(tuple(pos(emap.e_atom(v, x)) for v, x in zip(c.scope, t)))
             )
@@ -222,19 +219,7 @@ def _value_lane_table(instance, emap, c, rules, support):
 
 def _support_table_rules(emap, c, rules):
     domains = {v: emap.values[v] for v in c.scope}
-    memb = {v: set(vals) for v, vals in domains.items()}
-    if c.polarity == "allowed":
-        allowed = set()
-        for t in c.tuples:
-            it = tuple(emap.internal(x) for x in t)
-            if all(x in memb[v] for v, x in zip(c.scope, it)):
-                allowed.add(it)
-    else:
-        size = math.prod(len(d) for d in domains.values())
-        if size > TABLE_COMPLEMENT_CAP:
-            raise CapExceeded(f"support analysis over {size} tuples exceeds the cap")
-        forb = {tuple(emap.internal(x) for x in t) for t in c.tuples}
-        allowed = {t for t in itertools.product(*(domains[v] for v in c.scope)) if t not in forb}
+    allowed = _table_tuples(emap, c, "allowed")
     for vi, v in enumerate(c.scope):
         for wi, w in enumerate(c.scope):
             if v == w:
@@ -393,104 +378,59 @@ def _table_boxes(emap, c):
     the rule count small.
     """
     windows = [emap.window(v) for v in c.scope]
-    sizes = [hi - lo + 1 for lo, hi in windows]
-    if math.prod(s * s for s in sizes) > BOX_GRID_CAP:
-        raise CapExceeded("table too large for box analysis")
-    sat = np.zeros(sizes, dtype=bool)
-    domains = [emap.values[v] for v in c.scope]
-    if c.polarity == "allowed":
-        membs = [set(dom) for dom in domains]
-        for t in c.tuples:
-            it = tuple(emap.internal(x) for x in t)
-            if all(x in memb for x, memb in zip(it, membs)):
-                sat[tuple(x - w[0] for x, w in zip(it, windows))] = True
-    else:
-        grids = [[x - w[0] for x in dom] for dom, w in zip(domains, windows)]
-        sat[np.ix_(*grids)] = True
-        for t in c.tuples:
-            it = tuple(emap.internal(x) for x in t)
-            if all(w[0] <= x <= w[1] for x, w in zip(it, windows)):
-                sat[tuple(x - w[0] for x, w in zip(it, windows))] = False
-
-    boxes = _maximal_empty_boxes(sat)
-    out = []
-    for row in boxes:
-        out.append(
-            tuple(
-                (int(row[2 * k]) + windows[k][0], int(row[2 * k + 1]) + windows[k][0])
-                for k in range(len(sizes))
-            )
-        )
-    return out
+    return _maximal_empty_boxes(_table_tuples(emap, c, "allowed"), windows)
 
 
-def _maximal_empty_boxes(sat: np.ndarray) -> np.ndarray:
-    """All maximal axis-aligned boxes containing no True cell.
+def _maximal_empty_boxes(points, windows):
+    """All maximal boxes inside ``windows`` that hold none of ``points``.
 
-    Returns rows (l1, u1, l2, u2, ...) of 0-based inclusive interval
-    endpoints, in sorted order.
+    A box is a tuple of inclusive (l, u) intervals, one per axis; the
+    boxes come back sorted.  The search recurses slab by slab (Naamad,
+    Lee and Hsu 1984; Edmonds et al. 2003): the empty boxes of the
+    axis-0 slab [l,u] are those of its points projected onto the other
+    axes, and such a box is maximal unless it is also a box of slab
+    [l-1,u] or [l,u+1].  Results are memoised on the projected point
+    set, and widening u stops once a slab has no empty box.  Raises
+    CapExceeded once the recursion has visited BOX_SLAB_CAP slabs.
     """
-    k = sat.ndim
-    sizes = sat.shape
-    padded = np.zeros(tuple(s + 1 for s in sizes), dtype=np.int32)
-    inner = tuple(slice(1, None) for _ in range(k))
-    padded[inner] = sat.astype(np.int32)
-    for axis in range(k):
-        np.cumsum(padded, axis=axis, out=padded)
+    k = len(windows)
+    memo: dict[tuple[int, frozenset], frozenset] = {}
+    visits = 0
 
-    # counts[l1,u1,...,lk,uk] via inclusion-exclusion over the prefix sums
-    counts = np.zeros(tuple(sizes[a // 2] for a in range(2 * k)), dtype=np.int32)
-    for signs in itertools.product((0, 1), repeat=k):
-        index = []
-        for axis, s in enumerate(signs):
-            if s:
-                idx = np.arange(sizes[axis])  # l_axis
-                shaped_axis = 2 * axis
-            else:
-                idx = np.arange(1, sizes[axis] + 1)  # u_axis + 1
-                shaped_axis = 2 * axis + 1
-            shape = [1] * (2 * k)
-            shape[shaped_axis] = sizes[axis]
-            index.append(idx.reshape(shape))
-        term = padded[tuple(index)]
-        if sum(signs) % 2 == 0:
-            counts += term
-        else:
-            counts -= term
+    def boxes(axis, pts):
+        nonlocal visits
+        if axis == k:
+            return frozenset() if pts else frozenset({()})
+        found = memo.get((axis, pts))
+        if found is not None:
+            return found
+        rows: dict[int, list] = {}
+        for p in pts:
+            rows.setdefault(p[0], []).append(p[1:])
+        lo, hi = windows[axis]
+        slabs = {}
+        for l in range(lo, hi + 1):
+            proj = frozenset()
+            for u in range(l, hi + 1):
+                visits += 1
+                if visits > BOX_SLAB_CAP:
+                    raise CapExceeded(f"box analysis visits more than {BOX_SLAB_CAP} slabs")
+                if u in rows:
+                    proj = proj.union(rows[u])
+                sub = boxes(axis + 1, proj)
+                if not sub:
+                    break
+                slabs[l, u] = sub
+        found = frozenset(
+            ((l, u),) + box
+            for (l, u), sub in slabs.items()
+            for box in sub
+            if box not in slabs.get((l - 1, u), ()) and box not in slabs.get((l, u + 1), ())
+        )
+        memo[axis, pts] = found
+        return found
 
-    empty = counts == 0
-    # invalidate l > u slots
-    for axis in range(k):
-        l = np.arange(sizes[axis]).reshape(
-            [sizes[axis] if a == 2 * axis else 1 for a in range(2 * k)]
-        )
-        u = np.arange(sizes[axis]).reshape(
-            [sizes[axis] if a == 2 * axis + 1 else 1 for a in range(2 * k)]
-        )
-        empty &= l <= u
-
-    maximal = empty.copy()
-    for axis in range(k):
-        # extending the box by one step in either direction must hit a True
-        low = np.zeros_like(empty)
-        src = tuple(
-            slice(None) if a != 2 * axis else slice(None, -1) for a in range(2 * k)
-        )
-        dst = tuple(
-            slice(None) if a != 2 * axis else slice(1, None) for a in range(2 * k)
-        )
-        low[dst] = empty[src]  # box with l_axis lowered by one is still empty
-        maximal &= ~low
-        high = np.zeros_like(empty)
-        src = tuple(
-            slice(None) if a != 2 * axis + 1 else slice(1, None) for a in range(2 * k)
-        )
-        dst = tuple(
-            slice(None) if a != 2 * axis + 1 else slice(None, -1) for a in range(2 * k)
-        )
-        high[dst] = empty[src]  # box with u_axis raised by one is still empty
-        maximal &= ~high
-    return np.argwhere(maximal)
+    return sorted(boxes(0, frozenset(points)))
 
 
 # -- seeds, readback, decoding ---------------------------------------------------

@@ -73,9 +73,6 @@ class NormalRule:
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
-        for lit in self.body:
-            if not lit.positive and lit.atom is self.head:
-                raise ValueError(f"rule head {self.head!r} occurs in its own negative body")
 
 
 @dataclass(frozen=True)
@@ -398,8 +395,10 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     one normal rule and no choice rule is equivalent to that rule's body,
     so it becomes the body's entity when that body is new (equivalence
     preprocessing, Gebser et al., ECAI 2008); later rules over the same
-    body use the atom.  Per body beta = {a1..am, not am+1..an}, with beta
-    a BodyId or such an atom, the store receives
+    body use the atom.  Such a fact always becomes its own entity, as the
+    empty body is true anyway, so every fact gets the unit {F a}.  Per
+    body beta = {a1..am, not am+1..an}, with beta a BodyId or such an
+    atom, the store receives
 
         {T a1, ..., T am, F am+1, ..., F an, F beta}
         {F ai, T beta}  for i <= m      {T aj, T beta}  for j > m
@@ -444,17 +443,18 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
 
     def intern_body(body: tuple[Lit, ...], head: Atom | None = None) -> int:
-        """The body's entity: ``head``'s own if given and the body is new."""
+        """The body's entity: ``head``'s own if given and the body is new
+        or empty."""
         lit_codes = body_codes(body)
         key = frozenset(lit_codes)
         bidx = body_ids.get(key)
-        if bidx is not None:
+        if bidx is not None and (head is None or key):
             return bidx
         if head is None:
             bidx = store.intern(BodyId(store.n_entities - len(atoms)))
         else:
             bidx = atom_idx[head]
-        body_ids[key] = bidx
+        body_ids.setdefault(key, bidx)
         fb = 2 * bidx + 1
         tb = 2 * bidx
         add(sorted(key | {fb}))

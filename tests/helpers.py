@@ -53,10 +53,7 @@ def random_tight_program(rng: random.Random, n_atoms: int = 5) -> GroundProgram:
                     body.append(Lit(atoms[b_idx], rng.random() < 0.6))
                 elif b_idx != head_idx:
                     body.append(Lit(atoms[b_idx], False))
-            try:
-                rules.append(NormalRule(atoms[head_idx], tuple(body)))
-            except ValueError:
-                pass  # head in its own negative body; skip this draw
+            rules.append(NormalRule(atoms[head_idx], tuple(body)))
         else:
             chosen = rng.sample(atoms, rng.randint(1, min(3, n_atoms)))
             body = tuple(Lit(a, rng.random() < 0.5) for a in chosen)

@@ -1,9 +1,14 @@
 """The command-line interface, driven in-process."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cspasp
 from cspasp.cli import main
 
 HALL = "var v1 2 3\nvar v2 { 1 2 4 }\nvar v3 2 3\nvar v4 1 4\nalldifferent v1 v2 v3 v4\n"
@@ -208,6 +213,21 @@ def test_malformed_instance_reports_position(capsys, tmp_path):
     assert "line 1, col 1" in err
 
 
+def test_input_that_neither_parser_reads_names_both_errors(capsys, tmp_path):
+    path = write(tmp_path, "b.csp", "vr x 1 2\n")
+    code, out, err = run(capsys, "solve", path)
+    assert code == 1 and out == ""
+    assert "not a CSP instance (line 1, col 1" in err
+    assert "nor a ground program (line 1, col 4" in err
+
+
+def test_head_in_its_own_negative_body_is_unsat(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a :- not a.\n"))
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 20 and err == ""
+    assert out.splitlines()[0] == "UNSAT"
+
+
 def test_missing_file_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.csp"))
     assert code == 1
@@ -315,3 +335,12 @@ def test_bench_hall_limit_wider_than_an_instance_keeps_every_row(capsys):
         ["php", "n=3", "bound", "2", "UNSAT"],
         ["php", "n=5", "bound", "2", "UNSAT"],
     ]
+
+
+# -- packaging -------------------------------------------------------------------
+
+
+def test_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cspasp.__file__).parents[1]))
+    check = "import cspasp, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import math
 import random
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from cspasp import CapExceeded, encoder
-from cspasp.benchmarks import gen_php, random_instance, random_state
+from cspasp.benchmarks import gen_ggp_double_wheel, gen_php, random_instance, random_state
 from cspasp.csp import (
     Constraint,
     CspInstance,
@@ -35,10 +34,12 @@ from cspasp.encoder import (
 )
 from cspasp.program import (
     Atom,
+    IntegrityRule,
     completion_nogoods,
     emit_ground,
     is_tight,
     normalize_cardinality,
+    pos,
 )
 from cspasp.propagation import BodyId, SignedLiteral, propagate_naive
 from cspasp.solver import enumerate_models
@@ -494,39 +495,92 @@ def oracle_boxes(sat):
     )
 
 
+def slab_boxes(sat):
+    """_maximal_empty_boxes on a boolean grid, as oracle_boxes rows."""
+    points = [tuple(int(x) for x in p) for p in np.argwhere(sat)]
+    windows = [(0, n - 1) for n in sat.shape]
+    return [sum(box, ()) for box in _maximal_empty_boxes(points, windows)]
+
+
 def test_maximal_empty_boxes_match_enumeration():
     rng = random.Random(99)
-    for trial in range(60):
-        ndim = rng.randint(1, 3)
-        shape = tuple(rng.randint(1, 5) for _ in range(ndim))
+    for trial in range(150):
+        ndim = rng.randint(1, 4)
+        shape = tuple(rng.randint(1, 5 if ndim < 4 else 4) for _ in range(ndim))
+        density = rng.choice((0.05, 0.4, 0.95))  # near-empty, mixed, near-full
         sat = np.zeros(shape, dtype=bool)
         flat = sat.reshape(-1)
         for i in range(flat.size):
-            flat[i] = rng.random() < 0.4
-        got = [tuple(row) for row in _maximal_empty_boxes(sat)]
-        assert got == oracle_boxes(sat), (trial, sat.tolist())
+            flat[i] = rng.random() < density
+        assert slab_boxes(sat) == oracle_boxes(sat), (trial, sat.tolist())
 
 
 def test_maximal_empty_boxes_edge_cases():
-    assert _maximal_empty_boxes(np.ones((2, 2), dtype=bool)).tolist() == []
-    assert _maximal_empty_boxes(np.zeros((2, 2), dtype=bool)).tolist() == [
-        [0, 1, 0, 1]
-    ]
+    assert slab_boxes(np.ones((2, 2), dtype=bool)) == []
+    assert slab_boxes(np.zeros((2, 2), dtype=bool)) == [(0, 1, 0, 1)]
     sat = np.array([False, True, False, False])
-    assert _maximal_empty_boxes(sat).tolist() == [[0, 0], [2, 3]]
+    assert slab_boxes(sat) == [(0, 0), (2, 3)]
+    # boxes live in the given windows, not from 0
+    assert _maximal_empty_boxes([(5, 7)], [(4, 5), (7, 8)]) == [
+        ((4, 4), (7, 8)),
+        ((4, 5), (8, 8)),
+    ]
 
 
-def test_wide_tables_hit_the_grid_cap():
-    n = 42
+def table_instance(n, polarity, tuples):
     doms = tuple(range(1, n + 1))
-    inst = CspInstance(
+    return CspInstance(
         tuple(VariableDecl(v, doms) for v in ("x", "y", "z")),
-        (
-            Constraint(
-                TABLE, ("x", "y", "z"), polarity="forbidden", tuples=((1, 1, 1),)
-            ),
-        ),
+        (Constraint(TABLE, ("x", "y", "z"), polarity=polarity, tuples=tuples),),
     )
-    assert math.prod([n * n] * 3) > 3 * 10**7
-    with pytest.raises(CapExceeded):
+
+
+@pytest.mark.parametrize("kind", ["bound", "range"])
+def test_wide_forbidden_table_gives_one_box_rule(kind):
+    # 42^3 points: its dense grid of (42^2)^3 cells once stopped box analysis
+    inst = table_instance(42, "forbidden", ((1, 1, 1),))
+    with_table = encode(inst, EncodingKind(kind)).program.rules
+    bare = CspInstance(inst.variables)
+    without = set(encode(bare, EncodingKind(kind)).program.rules)
+    extra = [rule for rule in with_table if rule not in without]
+    assert len(with_table) == len(without) + 1
+    if kind == "range":
+        want = tuple(pos(Atom("r", (v, 1, 1))) for v in ("x", "y", "z"))
+    else:
+        want = tuple(pos(Atom("b", (v, 1))) for v in ("x", "y", "z"))
+    assert extra == [IntegrityRule(want)]
+
+
+def test_box_analysis_over_the_slab_cap_raises():
+    rng = random.Random(0)
+    allowed = tuple(
+        t for t in itertools.product(range(1, 41), repeat=3) if rng.random() < 0.02
+    )
+    inst = table_instance(40, "allowed", allowed)
+    with pytest.raises(CapExceeded, match="slabs"):
         encode(inst, EncodingKind("range"))
+
+
+def test_ggp5_tables_get_maximal_empty_boxes():
+    inst = gen_ggp_double_wheel(5)
+    enc = encode(inst, EncodingKind("bound"))  # no CapExceeded
+    c = next(c for c in inst.constraints if c.kind == TABLE)
+    emap = enc.emap
+    windows = [emap.window(v) for v in c.scope]
+    lows = np.array([lo for lo, _ in windows])
+    sat = np.zeros([hi - lo + 1 for lo, hi in windows], dtype=bool)
+    for t in c.tuples:
+        sat[tuple(np.array([emap.internal(x) for x in t]) - lows)] = True
+    boxes = encoder._table_boxes(emap, c)
+    covered = np.zeros_like(sat)
+    for box in boxes:
+        region = tuple(slice(l - lo, u - lo + 1) for (l, u), lo in zip(box, lows))
+        assert not sat[region].any(), box
+        covered[region] = True
+        for axis, ((l, u), (wlo, whi)) in enumerate(zip(box, windows)):
+            for wl, wu in ((l - 1, u), (l, u + 1)):
+                if wlo <= wl and wu <= whi:
+                    grown = list(region)
+                    grown[axis] = slice(wl - wlo, wu - wlo + 1)
+                    assert sat[tuple(grown)].any(), (box, axis, wl, wu)
+    assert (covered == ~sat).all()  # every violating point lies in a box

@@ -46,11 +46,6 @@ def test_atoms_are_interned():
     assert repr(Atom("p")) == "p"
 
 
-def test_normal_rule_rejects_head_in_negative_body():
-    with pytest.raises(ValueError):
-        NormalRule(a, lits((a, False)))
-
-
 def test_choice_rule_validation():
     with pytest.raises(ValueError):
         ChoiceRule(())
@@ -276,13 +271,22 @@ def test_fact_completes_to_one_unit():
     assert shapes_of(store) == [shape((a, False))]
 
 
+def test_every_fact_completes_to_a_unit():
+    program = GroundProgram((NormalRule(a, ()), NormalRule(b, ()), ChoiceRule((c,))))
+    store = completion_nogoods(program)
+    # the choice's empty body is the first fact's entity
+    assert store.entities == [a, b, c]
+    assert shapes_of(store) == [
+        shape((a, False)),
+        shape((b, False)),
+        shape((c, True), (a, False)),
+    ]
+    assert store_answer_sets(program) == set(brute_force_answer_sets(program))
+
+
 def test_head_in_its_own_negative_body_gives_two_units():
-    # NormalRule rejects "a :- not a."; completion must still merge the
-    # repeated literal rather than rely on that
-    rule = object.__new__(NormalRule)
-    object.__setattr__(rule, "head", a)
-    object.__setattr__(rule, "body", lits((a, False)))
-    program = GroundProgram((rule,))
+    # "a :- not a." has no answer set; completion merges the repeated literal
+    program = GroundProgram((NormalRule(a, lits((a, False))),))
     store = completion_nogoods(program)
     assert store.entities == [a]
     assert sorted(ng.lits for ng in store.nogoods) == [[0], [1]]  # {T a}, {F a}
@@ -367,7 +371,7 @@ def test_empty_integrity_body_beside_a_fact(fact_first):
 
 def test_completion_matches_answer_sets_on_random_shared_bodies():
     # bodies drawn from a small pool, so single-rule atoms, atoms with
-    # several rules and choice rules often share one body entity
+    # several rules, choice rules and facts often share one body entity
     rng = random.Random("shared-bodies")
     atoms = [Atom("s", (i,)) for i in range(6)]
     collapsed = 0
@@ -377,6 +381,7 @@ def test_completion_matches_answer_sets_on_random_shared_bodies():
             # only atoms below the head may occur positively: tight
             chosen = rng.sample(atoms[:4], rng.randint(0, 2))
             pool.append(tuple(Lit(at, rng.random() < 0.5) for at in chosen))
+        pool.append(())  # facts, which must not share the empty body
         rules = [ChoiceRule(tuple(atoms[:2]))]
         for _ in range(rng.randint(1, 6)):
             head = atoms[rng.randrange(4, 6)]
@@ -388,6 +393,11 @@ def test_completion_matches_answer_sets_on_random_shared_bodies():
         program = GroundProgram(rules)
         store = completion_nogoods(program)
         assert all(len(set(ng.lits)) == len(ng.lits) for ng in store.nogoods)
+        units = {ng.lits[0] for ng in store.nogoods if len(ng.lits) == 1}
+        heads = [h for r in rules for h in (r.heads if isinstance(r, ChoiceRule) else (r.head,))]
+        for rule in rules:
+            if isinstance(rule, NormalRule) and not rule.body and heads.count(rule.head) == 1:
+                assert 2 * store.index_of(rule.head) + 1 in units  # the fact's {F a}
         bodies = sum(isinstance(e, BodyId) for e in store.entities)
         collapsed += bodies < len({frozenset(r.body) for r in rules})
         want = set(brute_force_answer_sets(program))
