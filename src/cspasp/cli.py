@@ -14,10 +14,6 @@ import sys
 
 from .benchmarks import (
     BenchSpec,
-    gen_ggp_double_wheel,
-    gen_php,
-    gen_qcp,
-    gen_qep,
     random_instance,
     random_state,
     run_suite,
@@ -260,14 +256,12 @@ def _agrees(encoding: str, instance, pruned, oracle) -> bool:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "php":
-        instance = gen_php(args.n)
-    elif args.family == "qcp":
-        instance = gen_qcp(args.order, args.fill, args.seed, args.permutation)
-    elif args.family == "qep":
-        instance = gen_qep(args.axiom, args.order)
-    else:
-        instance = gen_ggp_double_wheel(args.n)
+    # each family's flags are named after its BenchSpec parameters
+    params = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "family", "func", "output")
+    }
+    instance = BenchSpec(args.family, params).build()
     _write_text(args.output, format_instance(instance))
     return 0
 

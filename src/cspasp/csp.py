@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapExceeded
+from .text import INT, NAME, Tokens
 
 ALLDIFFERENT = "alldifferent"
 PERMUTATION = "permutation"
@@ -33,8 +33,6 @@ DOMAIN_CONSISTENCY = "domain"
 
 LEVELS = (AC_BINARY, BOUND_CONSISTENCY, RANGE_CONSISTENCY, DOMAIN_CONSISTENCY)
 
-_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
-
 SUPPORT_SEARCH_CAP = 10 ** 7
 ENUMERATION_CAP = 10 ** 7
 
@@ -47,7 +45,7 @@ class VariableDecl:
     domain: tuple[int, ...]
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not NAME.match(self.name):
             raise ValueError(f"bad variable name: {self.name!r}")
         dom = tuple(sorted(set(self.domain)))
         if not dom:
@@ -178,15 +176,6 @@ class DomainState:
 
     def is_inconsistent(self) -> bool:
         return any(not vals for vals in self.domains.values())
-
-    def hull(self, name: str) -> tuple[int, int]:
-        vals = self.domains[name]
-        if not vals:
-            raise ValueError(f"variable {name} has an empty current domain")
-        return vals[0], vals[-1]
-
-    def copy(self) -> "DomainState":
-        return DomainState(self.domains)
 
 
 def validate_state(instance: CspInstance, state: DomainState) -> None:
@@ -410,39 +399,33 @@ def parse_instance(text: str) -> CspInstance:
     assignments: list[tuple[str, int]] = []
     declared: dict[str, VariableDecl] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        toks = _lex_instance_line(line, lineno)
+    toks = Tokens(text, "#")
+    for _ in toks.statements():
         head = toks.next()
         if head == "var":
-            decl = _parse_var(toks, lineno)
+            decl = _parse_var(toks)
             if decl.name in declared:
-                raise ValueError(f"line {lineno}: variable {decl.name} declared twice")
+                raise toks.error(f"variable {decl.name} declared twice")
             declared[decl.name] = decl
             variables.append(decl)
         elif head in (ALLDIFFERENT, PERMUTATION):
             names = []
             while toks.peek() is not None:
-                names.append(_expect_name(toks, lineno, declared))
+                names.append(_expect_name(toks, declared))
             if not names:
-                raise ValueError(f"line {lineno}: {head} needs at least one variable")
-            constraints.append(_build(Constraint, lineno, head, tuple(names)))
+                raise toks.error(f"{head} needs at least one variable")
+            constraints.append(toks.build(Constraint, head, tuple(names)))
         elif head in ("allowed", "forbidden"):
-            scope, tuples = _parse_table(toks, lineno, declared)
-            constraints.append(_build(Constraint, lineno, TABLE, scope, head, tuples))
+            scope, tuples = _parse_table(toks, declared)
+            constraints.append(toks.build(Constraint, TABLE, scope, head, tuples))
         elif head == "assign":
-            name = _expect_name(toks, lineno, declared)
-            value = _expect_int(toks, lineno)
-            toks.done()
+            name = _expect_name(toks, declared)
+            value = _expect_int(toks)
             if value not in declared[name].domain:
-                raise ValueError(
-                    f"line {lineno}: assigned value {value} outside the domain of {name}"
-                )
+                raise toks.error(f"assigned value {value} outside the domain of {name}")
             assignments.append((name, value))
         else:
-            raise ValueError(f"line {lineno}, col {toks.last_col}: unknown directive {head!r}")
+            raise toks.error_at_last(f"unknown directive {head!r}")
 
     try:
         return CspInstance(variables, constraints, assignments)
@@ -450,123 +433,64 @@ def parse_instance(text: str) -> CspInstance:
         raise ValueError(str(exc)) from exc
 
 
-def _build(ctor, lineno, *args):
-    try:
-        return ctor(*args)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from exc
-
-
-class _InstanceTokens:
-    def __init__(self, parts: list[tuple[str, int]], lineno: int):
-        self.parts = parts
-        self.lineno = lineno
-        self.i = 0
-        self.last_col = 1
-
-    def peek(self):
-        return self.parts[self.i][0] if self.i < len(self.parts) else None
-
-    def next(self):
-        if self.i >= len(self.parts):
-            raise ValueError(f"line {self.lineno}: unexpected end of line")
-        tok, col = self.parts[self.i]
-        self.i += 1
-        self.last_col = col
-        return tok
-
-    def done(self):
-        if self.i < len(self.parts):
-            tok, col = self.parts[self.i]
-            raise ValueError(f"line {self.lineno}, col {col}: trailing {tok!r}")
-
-
-_INSTANCE_TOKEN = re.compile(r"[(){}:]|-?\d+|[A-Za-z_]\w*")
-
-
-def _lex_instance_line(line: str, lineno: int) -> _InstanceTokens:
-    parts = []
-    pos = 0
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        m = _INSTANCE_TOKEN.match(line, pos)
-        if not m:
-            raise ValueError(f"line {lineno}, col {pos + 1}: unexpected character {line[pos]!r}")
-        parts.append((m.group(), pos + 1))
-        pos = m.end()
-    return _InstanceTokens(parts, lineno)
-
-
-_INT_TOK = re.compile(r"-?\d+\Z")
-
-
-def _expect_int(toks: _InstanceTokens, lineno: int) -> int:
+def _expect_int(toks: Tokens) -> int:
     tok = toks.next()
-    if not _INT_TOK.match(tok):
-        raise ValueError(f"line {lineno}, col {toks.last_col}: expected integer, found {tok!r}")
+    if not INT.match(tok):
+        raise toks.error_at_last(f"expected integer, found {tok!r}")
     return int(tok)
 
 
-def _expect_name(toks: _InstanceTokens, lineno: int, declared) -> str:
+def _expect_name(toks: Tokens, declared) -> str:
     tok = toks.next()
-    if not _NAME_RE.match(tok):
-        raise ValueError(f"line {lineno}, col {toks.last_col}: expected name, found {tok!r}")
-    if declared is not None and tok not in declared:
-        raise ValueError(f"line {lineno}, col {toks.last_col}: undeclared variable {tok!r}")
+    if not NAME.match(tok):
+        raise toks.error_at_last(f"expected name, found {tok!r}")
+    if tok not in declared:
+        raise toks.error_at_last(f"undeclared variable {tok!r}")
     return tok
 
 
-def _parse_var(toks: _InstanceTokens, lineno: int) -> VariableDecl:
+def _parse_var(toks: Tokens) -> VariableDecl:
     name = toks.next()
-    if not _NAME_RE.match(name):
-        raise ValueError(f"line {lineno}, col {toks.last_col}: bad variable name {name!r}")
+    if not NAME.match(name):
+        raise toks.error_at_last(f"bad variable name {name!r}")
     if toks.peek() == "{":
         toks.next()
         values = []
         while toks.peek() != "}":
-            values.append(_expect_int(toks, lineno))
+            values.append(_expect_int(toks))
         toks.next()
-        toks.done()
         if not values:
-            raise ValueError(f"line {lineno}: variable {name} declared with an empty domain")
+            raise toks.error(f"variable {name} declared with an empty domain")
         return VariableDecl(name, tuple(values))
-    lo = _expect_int(toks, lineno)
-    hi = _expect_int(toks, lineno)
-    toks.done()
+    lo = _expect_int(toks)
+    hi = _expect_int(toks)
     if lo > hi:
-        raise ValueError(f"line {lineno}: empty range {lo}..{hi} for variable {name}")
+        raise toks.error(f"empty range {lo}..{hi} for variable {name}")
     return VariableDecl(name, tuple(range(lo, hi + 1)))
 
 
-def _parse_table(toks: _InstanceTokens, lineno: int, declared):
-    if toks.next() != "(":
-        raise ValueError(f"line {lineno}, col {toks.last_col}: expected '('")
+def _parse_table(toks: Tokens, declared):
+    toks.expect("(")
     scope = []
     while toks.peek() != ")":
-        scope.append(_expect_name(toks, lineno, declared))
+        scope.append(_expect_name(toks, declared))
     toks.next()
-    if toks.next() != ":":
-        raise ValueError(f"line {lineno}, col {toks.last_col}: expected ':'")
+    toks.expect(":")
     tuples = []
     while toks.peek() is not None:
-        if toks.next() != "(":
-            raise ValueError(f"line {lineno}, col {toks.last_col}: expected '('")
+        toks.expect("(")
         t = []
         while toks.peek() != ")":
-            t.append(_expect_int(toks, lineno))
+            t.append(_expect_int(toks))
         toks.next()
         if len(t) != len(scope):
-            raise ValueError(
-                f"line {lineno}: tuple {tuple(t)} does not match scope arity {len(scope)}"
-            )
+            raise toks.error(f"tuple {tuple(t)} does not match scope arity {len(scope)}")
         tuples.append(tuple(t))
     # catch out-of-domain values here so the error carries the line
     for t in tuples:
         for v, value in zip(scope, t):
             if value not in declared[v].domain:
-                raise ValueError(f"line {lineno}: tuple value {value} outside the domain of {v}")
+                raise toks.error(f"tuple value {value} outside the domain of {v}")
     return tuple(scope), tuple(tuples)
 
 

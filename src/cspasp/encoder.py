@@ -254,11 +254,12 @@ def _encode_range_lane(instance, emap, kind, rules):
             for u in range(l, d):
                 rules.append(IntegrityRule((pos(r(name, l, u)), neg(r(name, l, u + 1)))))
         _carve_initial_domain(emap, name, rules, use_bounds=False)
+    found: dict = {}
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
             _interval_count_rules(emap, kind, c, rules)
         else:
-            for box in _table_boxes(emap, c):
+            for box in _table_boxes(emap, c, found):
                 rules.append(
                     IntegrityRule(
                         tuple(pos(emap.r_atom(v, l, u)) for v, (l, u) in zip(c.scope, box))
@@ -335,11 +336,12 @@ def _encode_bound_lane(instance, emap, kind, rules):
         for i in range(1, d):
             rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i + 1)))))
         _carve_initial_domain(emap, name, rules, use_bounds=True)
+    found: dict = {}
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
             _interval_count_rules(emap, kind, c, rules)
         else:
-            for box in _table_boxes(emap, c):
+            for box in _table_boxes(emap, c, found):
                 body = []
                 for v, (l, u) in zip(c.scope, box):
                     body.append(pos(emap.b_atom(v, u)))
@@ -367,7 +369,7 @@ def _encode_bound_lane(instance, emap, kind, rules):
 # -- table boxes -----------------------------------------------------------------
 
 
-def _table_boxes(emap, c):
+def _table_boxes(emap, c, found: dict):
     """Maximal all-violating boxes of a table, in internal coordinates.
 
     A box assigns each scope variable an interval inside its initial
@@ -375,10 +377,17 @@ def _table_boxes(emap, c):
     constraint (window points outside a variable's actual domain cannot
     be taken, so they count as violating).  Posting one conflict rule
     per *maximal* such box rejects every forbidden tuple while keeping
-    the rule count small.
+    the rule count small.  ``found`` holds the boxes already computed in
+    this encode call, keyed on (windows, allowed tuples): tables that
+    share that signature, such as the edge tables of a ggp wheel, share
+    their boxes.
     """
-    windows = [emap.window(v) for v in c.scope]
-    return _maximal_empty_boxes(_table_tuples(emap, c, "allowed"), windows)
+    windows = tuple(emap.window(v) for v in c.scope)
+    points = tuple(_table_tuples(emap, c, "allowed"))
+    boxes = found.get((windows, points))
+    if boxes is None:
+        boxes = found[windows, points] = _maximal_empty_boxes(points, windows)
+    return boxes
 
 
 def _maximal_empty_boxes(points, windows):

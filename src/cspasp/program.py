@@ -10,12 +10,12 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 from .errors import CapExceeded
 from .propagation import BodyId, NogoodStore
+from .text import INT, NAME, Tokens
 
 BINOMIAL_CAP = 10 ** 6
 
@@ -529,105 +529,18 @@ def _emit_body(body) -> str:
     return ", ".join(repr(l) for l in body)
 
 
-# the line boundaries of str.splitlines; one statement per line
-_EOL = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# One pass over the whole text.  Each match is optional in-line blanks
-# followed by a line break, a comment, a token, or a bad character.
-_LEX = re.compile(
-    rf"[^\S{_EOL}]*(?:(?P<eol>\r\n|[{_EOL}])|%[^{_EOL}]*"
-    rf"|(?P<tok>:-|[{{}}(),;.]|-?\d+|[A-Za-z_]\w*)|(?P<bad>\S))"
-)
-_NAME = re.compile(r"[A-Za-z_]\w*\Z")
-_INT = re.compile(r"-?\d+\Z")
-
-
-class _Cursor:
-    """The token stream of a whole text, one statement per line.
-
-    ``None`` ends each statement.  Columns count from a statement's first
-    character, as the error messages give them.
-    """
-
-    def __init__(self, text: str):
-        toks: list[str | None] = []
-        cols: list[int] = []
-        self.linenos: list[int] = []  # of each statement
-        self.bad: str | None = None  # error for the first bad character
-        lineno, first, end, start_tok = 1, -1, 0, 0
-        for m in _LEX.finditer(text + "\n"):  # the last statement ends too
-            kind = m.lastgroup
-            if kind is None:
-                continue  # a comment
-            if kind == "eol":
-                if first >= 0:
-                    toks.append(None)
-                    cols.append(end - first + 1)
-                    self.linenos.append(lineno)
-                    first = -1
-                lineno += 1
-                continue
-            pos, end = m.span(kind)
-            if first < 0:
-                first, start_tok = pos, len(toks)
-            if kind == "bad":
-                self.bad = (
-                    f"line {lineno}, col {pos - first + 1}: "
-                    f"unexpected character {m.group(kind)!r}"
-                )
-                del toks[start_tok:], cols[start_tok:]
-                break
-            toks.append(m.group(kind))
-            cols.append(pos - first + 1)
-        self.toks = toks
-        self.cols = cols
-        self.i = 0
-        self.lineno = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i]
-
-    def next(self) -> str:
-        tok = self.toks[self.i]
-        if tok is None:
-            raise ValueError(f"line {self.lineno}: unexpected end of statement")
-        self.i += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok = self.peek()
-        if tok != want:
-            raise ValueError(
-                f"line {self.lineno}, col {self.cols[self.i]}: expected {want!r}, found {tok!r}"
-            )
-        self.i += 1
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ValueError(f"line {self.lineno}, col {self.cols[self.i]}: trailing {tok!r}")
-        self.i += 1
-
-
 def parse_ground(text: str) -> GroundProgram:
     """Parse the ground text format; ``%`` comments and blank lines skipped."""
-    toks = _Cursor(text)
+    toks = Tokens(text, "%")
     rules: list[Rule] = []
-    for lineno in toks.linenos:
-        toks.lineno = lineno
-        try:
-            rule = _parse_statement(toks)
-        except ValueError as exc:
-            if str(exc).startswith("line "):
-                raise
-            # rule validation errors carry no position; attach one
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        rules.append(rule)
-    if toks.bad:
-        raise ValueError(toks.bad)
+    for _ in toks.statements():
+        rules.append(_parse_statement(toks))
+        toks.expect(".")
     return GroundProgram(rules)
 
 
-def _parse_statement(toks: _Cursor) -> Rule:
+def _parse_statement(toks: Tokens) -> Rule:
+    """One rule, read up to its closing ``.``."""
     tok = toks.peek()
     if tok == "{":
         toks.next()
@@ -640,17 +553,13 @@ def _parse_statement(toks: _Cursor) -> Rule:
         if toks.peek() == ":-":
             toks.next()
             body = _parse_body(toks)
-        toks.expect(".")
-        toks.done()
-        return ChoiceRule(tuple(heads), body)
+        return toks.build(ChoiceRule, tuple(heads), body)
     if tok == ":-":
         toks.next()
         nxt = toks.peek()
         if nxt == ".":
-            toks.next()
-            toks.done()
             return IntegrityRule(())
-        if nxt is not None and _INT.match(nxt):
+        if nxt is not None and INT.match(nxt):
             bound = int(toks.next())
             toks.expect("{")
             lits = [_parse_literal(toks)]
@@ -658,26 +567,16 @@ def _parse_statement(toks: _Cursor) -> Rule:
                 toks.next()
                 lits.append(_parse_literal(toks))
             toks.expect("}")
-            toks.expect(".")
-            toks.done()
-            return CardinalityRule(bound, tuple(lits))
-        body = _parse_body(toks)
-        toks.expect(".")
-        toks.done()
-        return IntegrityRule(body)
+            return toks.build(CardinalityRule, bound, tuple(lits))
+        return IntegrityRule(_parse_body(toks))
     head = _parse_atom(toks)
     if toks.peek() == ":-":
         toks.next()
-        body = _parse_body(toks)
-        toks.expect(".")
-        toks.done()
-        return NormalRule(head, body)
-    toks.expect(".")
-    toks.done()
+        return NormalRule(head, _parse_body(toks))
     return NormalRule(head, ())
 
 
-def _parse_body(toks: _Cursor) -> tuple[Lit, ...]:
+def _parse_body(toks: Tokens) -> tuple[Lit, ...]:
     lits = [_parse_literal(toks)]
     while toks.peek() == ",":
         toks.next()
@@ -685,17 +584,17 @@ def _parse_body(toks: _Cursor) -> tuple[Lit, ...]:
     return tuple(lits)
 
 
-def _parse_literal(toks: _Cursor) -> Lit:
+def _parse_literal(toks: Tokens) -> Lit:
     if toks.peek() == "not":
         toks.next()
         return Lit(_parse_atom(toks), False)
     return Lit(_parse_atom(toks), True)
 
 
-def _parse_atom(toks: _Cursor) -> Atom:
+def _parse_atom(toks: Tokens) -> Atom:
     name = toks.next()
-    if not _NAME.match(name) or name == "not":
-        raise ValueError(f"line {toks.lineno}: expected atom name, found {name!r}")
+    if not NAME.match(name) or name == "not":
+        raise toks.error(f"expected atom name, found {name!r}")
     if toks.peek() != "(":
         return Atom(name)
     toks.next()
@@ -707,10 +606,10 @@ def _parse_atom(toks: _Cursor) -> Atom:
     return Atom(name, tuple(args))
 
 
-def _parse_arg(toks: _Cursor):
+def _parse_arg(toks: Tokens):
     tok = toks.next()
-    if _INT.match(tok):
+    if INT.match(tok):
         return int(tok)
-    if _NAME.match(tok):
+    if NAME.match(tok):
         return tok
-    raise ValueError(f"line {toks.lineno}: bad atom argument {tok!r}")
+    raise toks.error(f"bad atom argument {tok!r}")

@@ -307,19 +307,15 @@ def solve(store: NogoodStore, cfg: SolverConfig | None = None) -> SolveResult:
     """Decide satisfiability of the store's nogoods.
 
     Returns SAT with a total assignment, UNSAT, or UNKNOWN when the
-    configured conflict/time budget ran out first.  Learned nogoods stay
-    in ``store``, so only a freshly built store reproduces a run.
+    configured conflict/time budget ran out first.  The model is the
+    first of ``enumerate_models(store, cfg, limit=1)``, so ``time_ms``
+    includes its check.  Learned nogoods stay in ``store``, so only a
+    freshly built store reproduces a run.
     """
-    cfg = cfg or SolverConfig()
-    t0 = time.perf_counter()
-    search = _Search(store, cfg)
-    status = search.run()
-    search.stats.time_ms = int((time.perf_counter() - t0) * 1000)
-    assignment = None
-    if status == SAT:
-        _verify_static(store, search.trail)
-        assignment = search.trail.assignment()
-    return SolveResult(status, assignment, search.stats)
+    models, stats, status = enumerate_models(store, cfg, limit=1)
+    if models:
+        return SolveResult(SAT, models[0], stats)
+    return SolveResult(status, None, stats)
 
 
 def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=None):
@@ -338,8 +334,7 @@ def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=
     t0 = time.perf_counter()
     search = _Search(store, cfg)
     models: list[list[SignedLiteral]] = []
-    status = SAT
-    while limit is None or len(models) < limit:
+    while True:
         status = search.run()
         if status != SAT:
             break
@@ -351,6 +346,8 @@ def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=
         ]
         if not decisions:
             status = UNSAT  # forced model: nothing left to flip
+            break
+        if len(models) == limit:
             break
         search.on_backjump(trail.backjump(0))
         # blocking nogoods must never be garbage collected

@@ -99,9 +99,7 @@ def test_effective_domain_folds_assignments():
 
 
 def test_state_helpers():
-    st = DomainState({"x": (1, 3, 7), "y": ()})
-    assert st.hull("x") == (1, 7)
-    assert st.is_inconsistent()
+    assert DomainState({"x": (1, 3, 7), "y": ()}).is_inconsistent()
     assert not DomainState({"x": (4,)}).is_inconsistent()
 
 
@@ -315,14 +313,20 @@ def test_format_uses_interval_shorthand_only_when_contiguous():
 
 
 def test_parse_accepts_comments_and_blank_lines():
-    inst = parse_instance("# header\n\nvar x 1 2\n  # indented\nvar y { 4 }\n")
+    text = "# header\n\nvar x 1 2\n  # indented\nvar y { 4 }\n"
+    inst = parse_instance(text)
     assert [v.name for v in inst.variables] == ["x", "y"]
+    for eol in ("\r\n", "\x0c"):
+        assert parse_instance(text.replace("\n", eol)) == inst
 
 
 @pytest.mark.parametrize(
     "text, fragment",
     [
         ("var x 1 z", "line 1, col 9"),
+        ("  var x 1 $", r"^line 1, col 11: unexpected character '\$'$"),
+        ("var x 1 2  % program comment", "unexpected character '%'"),
+        ("var x 1 2 3", "^line 1, col 11: trailing '3'$"),
         ("vr x 1 2", "unknown directive"),
         ("var x 1 2\nalldifferent x y", "undeclared variable 'y'"),
         ("var x 1 2\nassign x 7", "assign"),

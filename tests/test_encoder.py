@@ -5,7 +5,6 @@ import itertools
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cspasp import CapExceeded, encoder
@@ -468,38 +467,28 @@ def test_decode_rejects_incomplete_assignments():
 # -- maximal empty boxes ------------------------------------------------------------
 
 
-def oracle_boxes(sat):
-    """Reference implementation by explicit enumeration."""
-    dims = sat.shape
-    axes = [
-        [(l, u) for l in range(n) for u in range(l, n)] for n in dims
-    ]
-    empty = []
-    for corner in itertools.product(*axes):
-        region = tuple(slice(l, u + 1) for l, u in corner)
-        if not sat[region].any():
-            empty.append(corner)
-    empty_set = set(empty)
+def box_cells(box):
+    return itertools.product(*(range(l, u + 1) for l, u in box))
+
+
+def oracle_boxes(points, windows):
+    """Reference implementation by explicit enumeration of every box."""
+    points = set(points)
+    axes = [[(l, u) for l in range(lo, hi + 1) for u in range(l, hi + 1)] for lo, hi in windows]
+    empty = {
+        box
+        for box in itertools.product(*axes)
+        if not any(cell in points for cell in box_cells(box))
+    }
 
     def grown(box):
-        for axis, (l, u) in enumerate(box):
-            if l > 0:
+        for axis, ((l, u), (lo, hi)) in enumerate(zip(box, windows)):
+            if l > lo:
                 yield box[:axis] + ((l - 1, u),) + box[axis + 1 :]
-            if u < dims[axis] - 1:
+            if u < hi:
                 yield box[:axis] + ((l, u + 1),) + box[axis + 1 :]
 
-    return sorted(
-        tuple(x for pair in box for x in pair)
-        for box in empty
-        if not any(g in empty_set for g in grown(box))
-    )
-
-
-def slab_boxes(sat):
-    """_maximal_empty_boxes on a boolean grid, as oracle_boxes rows."""
-    points = [tuple(int(x) for x in p) for p in np.argwhere(sat)]
-    windows = [(0, n - 1) for n in sat.shape]
-    return [sum(box, ()) for box in _maximal_empty_boxes(points, windows)]
+    return sorted(box for box in empty if not any(g in empty for g in grown(box)))
 
 
 def test_maximal_empty_boxes_match_enumeration():
@@ -508,18 +497,18 @@ def test_maximal_empty_boxes_match_enumeration():
         ndim = rng.randint(1, 4)
         shape = tuple(rng.randint(1, 5 if ndim < 4 else 4) for _ in range(ndim))
         density = rng.choice((0.05, 0.4, 0.95))  # near-empty, mixed, near-full
-        sat = np.zeros(shape, dtype=bool)
-        flat = sat.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = rng.random() < density
-        assert slab_boxes(sat) == oracle_boxes(sat), (trial, sat.tolist())
+        windows = [(0, n - 1) for n in shape]
+        points = [p for p in box_cells(windows) if rng.random() < density]
+        assert _maximal_empty_boxes(points, windows) == oracle_boxes(points, windows), (
+            trial, points
+        )
 
 
 def test_maximal_empty_boxes_edge_cases():
-    assert slab_boxes(np.ones((2, 2), dtype=bool)) == []
-    assert slab_boxes(np.zeros((2, 2), dtype=bool)) == [(0, 1, 0, 1)]
-    sat = np.array([False, True, False, False])
-    assert slab_boxes(sat) == [(0, 0), (2, 3)]
+    square = [(0, 1), (0, 1)]
+    assert _maximal_empty_boxes(list(box_cells(square)), square) == []
+    assert _maximal_empty_boxes([], square) == [((0, 1), (0, 1))]
+    assert _maximal_empty_boxes([(1,)], [(0, 3)]) == [((0, 0),), ((2, 3),)]
     # boxes live in the given windows, not from 0
     assert _maximal_empty_boxes([(5, 7)], [(4, 5), (7, 8)]) == [
         ((4, 4), (7, 8)),
@@ -566,21 +555,31 @@ def test_ggp5_tables_get_maximal_empty_boxes():
     enc = encode(inst, EncodingKind("bound"))  # no CapExceeded
     c = next(c for c in inst.constraints if c.kind == TABLE)
     emap = enc.emap
-    windows = [emap.window(v) for v in c.scope]
-    lows = np.array([lo for lo, _ in windows])
-    sat = np.zeros([hi - lo + 1 for lo, hi in windows], dtype=bool)
-    for t in c.tuples:
-        sat[tuple(np.array([emap.internal(x) for x in t]) - lows)] = True
-    boxes = encoder._table_boxes(emap, c)
-    covered = np.zeros_like(sat)
+    windows = tuple(emap.window(v) for v in c.scope)
+    sat = {tuple(emap.internal(x) for x in t) for t in c.tuples}
+    boxes = encoder._table_boxes(emap, c, {})
+    covered = set()
     for box in boxes:
-        region = tuple(slice(l - lo, u - lo + 1) for (l, u), lo in zip(box, lows))
-        assert not sat[region].any(), box
-        covered[region] = True
+        inside = set(box_cells(box))
+        assert not inside & sat, box
+        covered |= inside
         for axis, ((l, u), (wlo, whi)) in enumerate(zip(box, windows)):
             for wl, wu in ((l - 1, u), (l, u + 1)):
                 if wlo <= wl and wu <= whi:
-                    grown = list(region)
-                    grown[axis] = slice(wl - wlo, wu - wlo + 1)
-                    assert sat[tuple(grown)].any(), (box, axis, wl, wu)
-    assert (covered == ~sat).all()  # every violating point lies in a box
+                    grown = box[:axis] + ((wl, wu),) + box[axis + 1 :]
+                    assert any(p in sat for p in box_cells(grown)), (box, axis, wl, wu)
+    assert covered == set(box_cells(windows)) - sat  # every violating point lies in a box
+
+
+def test_tables_of_one_signature_share_their_boxes(monkeypatch):
+    # the 16 edge tables of DW_4 share their windows and allowed tuples
+    calls = []
+    search = encoder._maximal_empty_boxes
+
+    def counted(points, windows):
+        calls.append(windows)
+        return search(points, windows)
+
+    monkeypatch.setattr(encoder, "_maximal_empty_boxes", counted)
+    encode(gen_ggp_double_wheel(4), EncodingKind("bound"))
+    assert len(calls) == 1

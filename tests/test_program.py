@@ -454,17 +454,18 @@ def test_parse_ground_errors_carry_line_numbers():
         parse_ground(":- 0 {a}.")
     with pytest.raises(ValueError):
         parse_ground("a")  # missing period
-    # columns count from the statement's first character
+    # columns count from the start of the line
     for text, message in [
-        ("a.\n  b :- c & d.\n", "line 2, col 8: unexpected character '&'"),
+        ("a.\n  b :- c & d.\n", "line 2, col 10: unexpected character '&'"),
         ("a. b.", "line 1, col 4: trailing 'b'"),
-        ("  a :- b, c d.  % c", "line 1, col 11: expected '.', found 'd'"),
+        ("  a :- b, c d.  % c", "line 1, col 13: expected '.', found 'd'"),
         ("a :- e(x,1.\n", "line 1, col 11: expected ')', found '.'"),
-        ("a :- b.\n  x(1,2 :- c.", "line 2, col 7: expected ')', found ':-'"),
+        ("a :- b.\n  x(1,2 :- c.", "line 2, col 9: expected ')', found ':-'"),
         ("a :- e(f(1)).", "line 1, col 9: expected ')', found '('"),
         ("a.\nb :- c\nq & r", "line 2, col 7: expected '.', found None"),
         (":- 2 {a; b", "line 1, col 11: expected '}', found None"),
         ("e (1, x) :- not(y).", "line 1: expected atom name, found '('"),
+        ("a.  # instance comment", "line 1, col 5: unexpected character '#'"),
     ]:
         with pytest.raises(ValueError) as exc:
             parse_ground(text)
@@ -472,5 +473,8 @@ def test_parse_ground_errors_carry_line_numbers():
 
 
 def test_parse_ground_ignores_comments_and_blanks():
-    program = parse_ground("% header\n\na.\n  % indented comment\nb :- a.\n")
+    text = "% header\n\na.\n  % indented comment\nb :- a.\n"
+    program = parse_ground(text)
     assert len(program) == 2
+    for eol in ("\r\n", "\x0c"):
+        assert parse_ground(text.replace("\n", eol)) == program

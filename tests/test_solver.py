@@ -399,6 +399,12 @@ def test_enumeration_limit_stops_early():
     models, _, status = enumerate_models(completion_nogoods(program), limit=2)
     assert status == SAT and len(models) == 2
     assert len(as_set(models)) == 2
+    # the last model asked for gets no blocking nogood
+    store = completion_nogoods(program)
+    n_static = store.n_static
+    models, _, status = enumerate_models(store, limit=1)
+    assert status == SAT and len(models) == 1
+    assert store.n_static == n_static
 
 
 def test_enumeration_handles_decision_free_models():
