@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapExceeded
-from .text import INT, NAME, Tokens
+from .text import INSTANCE, INT, NAME, Tokens
 
 ALLDIFFERENT = "alldifferent"
 PERMUTATION = "permutation"
@@ -81,6 +81,19 @@ class Constraint:
             raise ValueError(f"{self.kind} takes no polarity or tuples")
 
 
+def _check_permutation(scope, by_name) -> None:
+    """A permutation's domains must hold as many values as its scope
+    has variables."""
+    union = set()
+    for v in scope:
+        union.update(by_name[v].domain)
+    if len(union) != len(scope):
+        raise ValueError(
+            "permutation needs as many values as variables "
+            f"({len(scope)} variables, {len(union)} values)"
+        )
+
+
 class CspInstance:
     """Validated variables + constraints + singleton pre-assignments."""
 
@@ -108,14 +121,7 @@ class CspInstance:
                                 f"tuple value {value} outside the domain of {v}"
                             )
             elif c.kind == PERMUTATION:
-                union = set()
-                for v in c.scope:
-                    union.update(by_name[v].domain)
-                if len(union) != len(c.scope):
-                    raise ValueError(
-                        "permutation needs as many values as variables "
-                        f"({len(c.scope)} variables, {len(union)} values)"
-                    )
+                _check_permutation(c.scope, by_name)
         fixed: dict[str, int] = {}
         for name, value in self.assignments:
             if name not in by_name:
@@ -398,8 +404,9 @@ def parse_instance(text: str) -> CspInstance:
     constraints: list[Constraint] = []
     assignments: list[tuple[str, int]] = []
     declared: dict[str, VariableDecl] = {}
+    fixed: dict[str, int] = {}
 
-    toks = Tokens(text, "#")
+    toks = Tokens(text, INSTANCE)
     for _ in toks.statements():
         head = toks.next()
         if head == "var":
@@ -415,6 +422,8 @@ def parse_instance(text: str) -> CspInstance:
             if not names:
                 raise toks.error(f"{head} needs at least one variable")
             constraints.append(toks.build(Constraint, head, tuple(names)))
+            if head == PERMUTATION:
+                toks.build(_check_permutation, names, declared)
         elif head in ("allowed", "forbidden"):
             scope, tuples = _parse_table(toks, declared)
             constraints.append(toks.build(Constraint, TABLE, scope, head, tuples))
@@ -423,14 +432,12 @@ def parse_instance(text: str) -> CspInstance:
             value = _expect_int(toks)
             if value not in declared[name].domain:
                 raise toks.error(f"assigned value {value} outside the domain of {name}")
+            if fixed.setdefault(name, value) != value:
+                raise toks.error(f"conflicting assignments to {name}")
             assignments.append((name, value))
         else:
             raise toks.error_at_last(f"unknown directive {head!r}")
-
-    try:
-        return CspInstance(variables, constraints, assignments)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    return CspInstance(variables, constraints, assignments)
 
 
 def _expect_int(toks: Tokens) -> int:

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import CapExceeded
 from .propagation import BodyId, NogoodStore
-from .text import INT, NAME, Tokens
+from .text import ATOM_PARTS, GROUND, INT, NAME, Tokens
 
 BINOMIAL_CAP = 10 ** 6
 
@@ -530,29 +530,34 @@ def _emit_body(body) -> str:
 
 
 def parse_ground(text: str) -> GroundProgram:
-    """Parse the ground text format; ``%`` comments and blank lines skipped."""
-    toks = Tokens(text, "%")
+    """Parse the ground text format; ``%`` comments and blank lines skipped.
+
+    Each atom token becomes an ``Atom`` through a table keyed by the
+    token's text, so each spelling of an atom is built once per call.
+    """
+    toks = Tokens(text, GROUND)
+    atoms: dict[str, Atom] = {}
     rules: list[Rule] = []
     for _ in toks.statements():
-        rules.append(_parse_statement(toks))
+        rules.append(_parse_statement(toks, atoms))
         toks.expect(".")
     return GroundProgram(rules)
 
 
-def _parse_statement(toks: Tokens) -> Rule:
+def _parse_statement(toks: Tokens, atoms: dict) -> Rule:
     """One rule, read up to its closing ``.``."""
     tok = toks.peek()
     if tok == "{":
         toks.next()
-        heads = [_parse_atom(toks)]
+        heads = [_parse_atom(toks, atoms)]
         while toks.peek() == ";":
             toks.next()
-            heads.append(_parse_atom(toks))
+            heads.append(_parse_atom(toks, atoms))
         toks.expect("}")
         body: tuple[Lit, ...] = ()
         if toks.peek() == ":-":
             toks.next()
-            body = _parse_body(toks)
+            body = _parse_body(toks, atoms)
         return toks.build(ChoiceRule, tuple(heads), body)
     if tok == ":-":
         toks.next()
@@ -562,54 +567,62 @@ def _parse_statement(toks: Tokens) -> Rule:
         if nxt is not None and INT.match(nxt):
             bound = int(toks.next())
             toks.expect("{")
-            lits = [_parse_literal(toks)]
+            lits = [_parse_literal(toks, atoms)]
             while toks.peek() == ";":
                 toks.next()
-                lits.append(_parse_literal(toks))
+                lits.append(_parse_literal(toks, atoms))
             toks.expect("}")
             return toks.build(CardinalityRule, bound, tuple(lits))
-        return IntegrityRule(_parse_body(toks))
-    head = _parse_atom(toks)
+        return IntegrityRule(_parse_body(toks, atoms))
+    head = _parse_atom(toks, atoms)
     if toks.peek() == ":-":
         toks.next()
-        return NormalRule(head, _parse_body(toks))
+        return NormalRule(head, _parse_body(toks, atoms))
     return NormalRule(head, ())
 
 
-def _parse_body(toks: Tokens) -> tuple[Lit, ...]:
-    lits = [_parse_literal(toks)]
+def _parse_body(toks: Tokens, atoms: dict) -> tuple[Lit, ...]:
+    lits = [_parse_literal(toks, atoms)]
     while toks.peek() == ",":
         toks.next()
-        lits.append(_parse_literal(toks))
+        lits.append(_parse_literal(toks, atoms))
     return tuple(lits)
 
 
-def _parse_literal(toks: Tokens) -> Lit:
+def _parse_literal(toks: Tokens, atoms: dict) -> Lit:
     if toks.peek() == "not":
         toks.next()
-        return Lit(_parse_atom(toks), False)
-    return Lit(_parse_atom(toks), True)
+        return Lit(_parse_atom(toks, atoms), False)
+    return Lit(_parse_atom(toks, atoms), True)
 
 
-def _parse_atom(toks: Tokens) -> Atom:
-    name = toks.next()
-    if not NAME.match(name) or name == "not":
-        raise toks.error(f"expected atom name, found {name!r}")
-    if toks.peek() != "(":
-        return Atom(name)
-    toks.next()
-    args: list = [_parse_arg(toks)]
-    while toks.peek() == ",":
-        toks.next()
-        args.append(_parse_arg(toks))
-    toks.expect(")")
-    return Atom(name, tuple(args))
-
-
-def _parse_arg(toks: Tokens):
+def _parse_atom(toks: Tokens, atoms: dict) -> Atom:
     tok = toks.next()
-    if INT.match(tok):
-        return int(tok)
-    if NAME.match(tok):
-        return tok
-    raise toks.error(f"bad atom argument {tok!r}")
+    atom = atoms.get(tok)
+    if atom is None:
+        atom = atoms[tok] = _new_atom(toks, tok)
+    return atom
+
+
+def _new_atom(toks: Tokens, tok: str) -> Atom:
+    """The atom that ``tok``, the token read last, spells."""
+    parts = ATOM_PARTS.findall(tok)
+    name = parts[0][1] if parts else ""  # empty for punctuation and integers
+    if name in ("", "not"):
+        raise toks.error_at_last(f"expected atom name, found {tok!r}")
+    if tok[-1] == "(":
+        raise _bad_arguments(toks)
+    return Atom(name, tuple(int(i) if i else n for i, n in parts[1:]))
+
+
+def _bad_arguments(toks: Tokens) -> ValueError:
+    """The error for a ``name(`` token, read last, whose argument list the
+    lexer could not close: placed at the first token that breaks it."""
+    while True:
+        tok = toks.next()
+        if not (INT.match(tok) or NAME.match(tok)):
+            return toks.error_at_last(f"bad atom argument {tok!r}")
+        if toks.peek() != ",":
+            # never ")", as a closed list lexes as part of the atom token
+            return toks.error_here(f"expected ')', found {toks.peek()!r}")
+        toks.next()

@@ -2,73 +2,61 @@
 
 Instances (``csp.parse_instance``) and ground programs
 (``program.parse_ground``) put one statement on each line that holds a
-token, and share one token set.  They differ only in the character that
-starts a comment: ``#`` in instances, ``%`` in programs.
+token.  They share punctuation, integer and name tokens and differ in two
+things: the character that starts a comment (``#`` in instances, ``%`` in
+programs), and that in a program a ground atom ``name`` or
+``name(arg, ..., arg)`` is one token, with blanks allowed between its
+parts.  A name followed by a ``(`` that opens no well-formed argument list
+is the token ``name(``, which no atom matches.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 NAME = re.compile(r"[A-Za-z_]\w*\Z")
 INT = re.compile(r"-?\d+\Z")
 
-# the line boundaries of str.splitlines
-_EOL = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_NAME = r"[A-Za-z_]\w*"
+_ARG = rf"(?:-?\d+|{_NAME})"
+_ATOM = rf"{_NAME}(?:\s*\((?:\s*{_ARG}(?:\s*,\s*{_ARG})*\s*\))?)?"
+#: an atom token's name and arguments in order, as (integer, name) pairs
+ATOM_PARTS = re.compile(rf"(-?\d+)|({_NAME})")
 
 
-def _lexer(comment: str) -> re.Pattern:
-    """Each match is optional in-line blanks followed by a line break, a
-    comment, a token, or a bad character.  ``re`` caches the compiled
-    pattern."""
-    return re.compile(
-        rf"[^\S{_EOL}]*(?:(?P<eol>\r\n|[{_EOL}])|{re.escape(comment)}[^{_EOL}]*"
-        rf"|(?P<tok>:-|[{{}}(),;.:]|-?\d+|[A-Za-z_]\w*)|(?P<bad>\S))"
-    )
+class Lexer(NamedTuple):
+    """A format's comment character and its pattern of tokens in a line
+    (blanks, then a token or, at a character that starts none, the empty
+    string)."""
+
+    comment: str
+    tokens: re.Pattern
+
+
+def _lexer(comment: str, name: str) -> Lexer:
+    return Lexer(comment, re.compile(rf"\s*(:-|[{{}}(),;.:]|-?\d+|{name}|(?=\S))"))
+
+
+INSTANCE = _lexer("#", _NAME)
+GROUND = _lexer("%", _ATOM)
 
 
 class Tokens:
-    """The token stream of a whole text, lexed in one pass.
+    """A token cursor over a text, lexed one line at a time.
 
-    ``None`` ends each statement.  Columns count from the start of the
-    line.  Lexing stops at the first character that starts no token; its
-    error is raised once the statements before it have been read (see
-    ``statements``), so an earlier line's error comes first.
+    The lines are those of ``str.splitlines``.  ``None`` ends each
+    statement.  Columns count from the start of the line and are found
+    only for an error.  A character that starts no token raises its error
+    when lexing reaches its line, so the statements before it have been
+    read and an earlier line's error comes first.
     """
 
-    def __init__(self, text: str, comment: str):
-        toks: list[str | None] = []
-        cols: list[int] = []
-        self.linenos: list[int] = []  # of each statement
-        self.bad: str | None = None  # error for the first bad character
-        lineno, line_start, first, end = 1, 0, None, 0
-        for m in _lexer(comment).finditer(text + "\n"):  # the last statement ends too
-            kind = m.lastgroup
-            if kind is None:
-                continue  # a comment
-            if kind == "eol":
-                if first is not None:
-                    toks.append(None)
-                    cols.append(end - line_start + 1)
-                    self.linenos.append(lineno)
-                    first = None
-                lineno += 1
-                line_start = m.end()
-                continue
-            pos, end = m.span(kind)
-            if first is None:
-                first = len(toks)
-            if kind == "bad":
-                self.bad = (
-                    f"line {lineno}, col {pos - line_start + 1}: "
-                    f"unexpected character {m.group(kind)!r}"
-                )
-                del toks[first:], cols[first:]
-                break
-            toks.append(m.group(kind))
-            cols.append(pos - line_start + 1)
-        self.toks = toks
-        self.cols = cols
+    def __init__(self, text: str, lexer: Lexer):
+        self.text = text
+        self.lexer = lexer
+        self.line = ""
+        self.toks: list[str | None] = []
         self.i = 0
         self.lineno = 0
 
@@ -76,12 +64,25 @@ class Tokens:
         """Yield each statement's line number with the cursor on its first
         token; once the caller is done with it, check that it read the
         statement to its end."""
-        for lineno in self.linenos:
-            self.lineno = lineno
+        comment, tokens = self.lexer
+        for lineno, line in enumerate(self.text.splitlines(), 1):
+            line = line.partition(comment)[0]
+            toks = tokens.findall(line)
+            if not toks:
+                continue
+            self.line, self.toks, self.i, self.lineno = line, toks, 0, lineno
+            if "" in toks:
+                self.i = toks.index("")
+                raise self.error_here(f"unexpected character {line[self._col(self.i) - 1]!r}")
+            toks.append(None)
             yield lineno
             self.done()
-        if self.bad:
-            raise ValueError(self.bad)
+
+    def _col(self, i: int) -> int:
+        """Token ``i``'s column; the end of the statement's is just past
+        its last token."""
+        found = list(self.lexer.tokens.finditer(self.line))
+        return (found[i].start(1) if i < len(found) else found[-1].end(1)) + 1
 
     def peek(self) -> str | None:
         return self.toks[self.i]
@@ -96,24 +97,26 @@ class Tokens:
     def expect(self, want: str) -> None:
         tok = self.peek()
         if tok != want:
-            raise ValueError(
-                f"line {self.lineno}, col {self.cols[self.i]}: expected {want!r}, found {tok!r}"
-            )
+            raise self.error_here(f"expected {want!r}, found {tok!r}")
         self.i += 1
 
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ValueError(f"line {self.lineno}, col {self.cols[self.i]}: trailing {tok!r}")
+            raise self.error_here(f"trailing {tok!r}")
         self.i += 1
 
     def error(self, message: str) -> ValueError:
         """``message`` placed on the statement's line."""
         return ValueError(f"line {self.lineno}: {message}")
 
+    def error_here(self, message: str) -> ValueError:
+        """``message`` placed at the next token."""
+        return ValueError(f"line {self.lineno}, col {self._col(self.i)}: {message}")
+
     def error_at_last(self, message: str) -> ValueError:
         """``message`` placed at the token read last."""
-        return ValueError(f"line {self.lineno}, col {self.cols[self.i - 1]}: {message}")
+        return ValueError(f"line {self.lineno}, col {self._col(self.i - 1)}: {message}")
 
     def build(self, ctor, *args):
         """``ctor(*args)``, with the ValueError it may raise placed on the

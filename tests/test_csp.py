@@ -338,3 +338,28 @@ def test_parse_accepts_comments_and_blank_lines():
 def test_parse_errors_point_at_the_problem(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("var x 1 2\nassign x 1\nassign x 2\nvar y 1 2 3", "line 3: conflicting assignments to x"),
+        (
+            "var x 1 2\nvar y 1 3\npermutation x y\nvar",
+            "line 3: permutation needs as many values as variables (2 variables, 3 values)",
+        ),
+    ],
+)
+def test_instance_checks_fail_at_their_statement(text, message):
+    # the statement's own error comes before the later line's syntax error
+    with pytest.raises(ValueError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
+def test_tables_keep_their_tokens_in_instances():
+    inst = parse_instance("var x 1 2\nvar y 1 2\nallowed(x) : (1) (2)\nforbidden(x y):(1 1)\n")
+    assert inst.constraints == (
+        Constraint(TABLE, ("x",), "allowed", ((1,), (2,))),
+        Constraint(TABLE, ("x", "y"), "forbidden", ((1, 1),)),
+    )

@@ -1,11 +1,14 @@
 """Ground programs: rules, normalization, completion, answer sets."""
 
+import gc
 import itertools
 import random
+import re
 
 import pytest
 
-from cspasp import CapExceeded
+from cspasp import CapExceeded, EncodingKind, encode
+from cspasp.benchmarks import gen_ggp_double_wheel, gen_qcp, random_instance
 from cspasp.program import (
     Atom,
     CardinalityRule,
@@ -461,11 +464,17 @@ def test_parse_ground_errors_carry_line_numbers():
         ("  a :- b, c d.  % c", "line 1, col 13: expected '.', found 'd'"),
         ("a :- e(x,1.\n", "line 1, col 11: expected ')', found '.'"),
         ("a :- b.\n  x(1,2 :- c.", "line 2, col 9: expected ')', found ':-'"),
-        ("a :- e(f(1)).", "line 1, col 9: expected ')', found '('"),
+        ("a :- e(f(1)).", "line 1, col 8: bad atom argument 'f(1)'"),
         ("a.\nb :- c\nq & r", "line 2, col 7: expected '.', found None"),
         (":- 2 {a; b", "line 1, col 11: expected '}', found None"),
-        ("e (1, x) :- not(y).", "line 1: expected atom name, found '('"),
+        ("e (1, x) :- not(y).", "line 1, col 13: expected atom name, found 'not(y)'"),
         ("a.  # instance comment", "line 1, col 5: unexpected character '#'"),
+        ("a :- e(x, 1 ,).", "line 1, col 14: bad atom argument ')'"),
+        ("a :- e(x, {).", "line 1, col 11: bad atom argument '{'"),
+        ("e().", "line 1, col 3: bad atom argument ')'"),
+        ("a :- b(1)(2).", "line 1, col 10: expected '.', found '('"),
+        ("a :- not .", "line 1, col 10: expected atom name, found '.'"),
+        ("{a; 3}.", "line 1, col 5: expected atom name, found '3'"),
     ]:
         with pytest.raises(ValueError) as exc:
             parse_ground(text)
@@ -478,3 +487,61 @@ def test_parse_ground_ignores_comments_and_blanks():
     assert len(program) == 2
     for eol in ("\r\n", "\x0c"):
         assert parse_ground(text.replace("\n", eol)) == program
+
+
+def _ground_texts():
+    """Seeded emitted programs with the programs they come from."""
+    instances = [gen_ggp_double_wheel(3), gen_qcp(5, 30, 4)]
+    programs = [
+        encode(inst, EncodingKind(kind)).program
+        for inst in instances
+        for kind in ("direct", "support", "bound", "range")
+    ]
+    rng = random.Random("ground-texts")
+    for kind in ("bound", "range"):
+        programs += [encode(random_instance(rng), EncodingKind(kind)).program for _ in range(15)]
+    return programs
+
+
+def _respell(text: str, rng: random.Random) -> str:
+    """``text`` with blanks inside atoms, comments and other line breaks."""
+    def blank():
+        return rng.choice(["", "", " ", "  ", "\t"])
+
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            line = re.sub(r"[(,)]", lambda m: blank() + m.group() + blank(), line)
+        lines.append(blank() + line + rng.choice(["", "", " % note", "%"]))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "% comment", "  "]))
+    return "".join(line + rng.choice(["\n", "\r\n", "\f"]) for line in lines)
+
+
+def test_parse_ground_reads_respelled_programs_back():
+    rng = random.Random(11)
+    for program in _ground_texts():
+        text = emit_ground(program)
+        respelled = _respell(text, rng)
+        assert respelled != text
+        assert parse_ground(respelled) == program, respelled[:200]
+
+
+def test_atom_tokens_allow_blanks_between_their_parts():
+    atom = Atom("b", ("x_1_1", -1))
+    for spelling in ("b(x_1_1,-1)", "b( x_1_1 , -1 )", "b\t(x_1_1 ,-1)", "b (x_1_1, -01)"):
+        assert parse_ground(spelling + ".") == GroundProgram((NormalRule(atom),))
+    assert parse_ground("a :- not  b(1).").rules[0].body == (Lit(Atom("b", (1,)), False),)
+
+
+def test_parse_ground_leaves_no_state_between_calls():
+    first = parse_ground("p(1) :- q.\nq.\n")
+    with pytest.raises(ValueError, match="line 2, col 11: bad atom argument '.'"):
+        parse_ground("p(1).\np(2) :- q(.\n")
+    assert parse_ground("q.\np( 1 ) :- q.\n").rules == (first.rules[1], first.rules[0])
+    assert parse_ground("p(1) :- q.\nq.\n") == first
+    # no table of atom spellings outlives its call
+    spelling = "left_over( 7 )"
+    parse_ground(f"{spelling}.")
+    gc.collect()
+    assert not any(isinstance(o, dict) and spelling in o for o in gc.get_objects())
