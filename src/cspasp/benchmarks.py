@@ -21,10 +21,8 @@ from .csp import (
     DomainState,
     VariableDecl,
 )
-from .encoder import EncodingKind, encode
+from .encoder import EncodingKind, encode, run
 from .errors import CapExceeded
-from .program import completion_nogoods
-from .solver import SolverConfig, solve
 
 QEP_AXIOMS = ("QG3", "QG4", "QG5", "QG6", "QG7")
 
@@ -404,7 +402,8 @@ def run_suite(specs, kinds, timeout_s: float | None = None) -> BenchReport:
     """Encode and solve every (spec, kind) pair sequentially.
 
     A run that exhausts its time budget or trips a size cap is recorded
-    as UNKNOWN; the suite itself never aborts.
+    as UNKNOWN.  The suite stops only on the ValueError ``run`` raises
+    for a model that decodes to a non-solution.
     """
     rows = []
     for spec in specs:
@@ -413,24 +412,11 @@ def run_suite(specs, kinds, timeout_s: float | None = None) -> BenchReport:
             hall = "" if kind.hall_limit is None else str(kind.hall_limit)
             try:
                 enc = encode(instance, kind)
-                atoms = len(enc.program.atoms())
-                rules = len(enc.program.rules)
-                store = completion_nogoods(enc.program)
-                result = solve(store, SolverConfig(timeout_s=timeout_s))
+                status, _, stats, _ = run(enc.program, enc, timeout_s)
                 rows.append(
-                    BenchRow(
-                        spec.family,
-                        spec.label(),
-                        kind.name,
-                        hall,
-                        result.status,
-                        result.stats.decisions,
-                        result.stats.conflicts,
-                        result.stats.propagations,
-                        result.stats.time_ms,
-                        atoms,
-                        rules,
-                    )
+                    BenchRow(spec.family, spec.label(), kind.name, hall, status,
+                             stats.decisions, stats.conflicts, stats.propagations,
+                             stats.time_ms, len(enc.program.atoms()), len(enc.program.rules))
                 )
             except CapExceeded:
                 rows.append(

@@ -25,13 +25,13 @@ from .encoder import (
     EncodingKind,
     EncodingMap,
     EncodingPropagator,
-    decode,
     encode,
+    run,
 )
 from .errors import CapExceeded
 from .program import completion_nogoods, emit_ground, parse_ground
-from .propagation import BodyId, NogoodStore, dump_nogoods
-from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models, solve
+from .propagation import dump_nogoods
+from .solver import SAT, UNSAT
 
 # the consistency level each encoding's propagation is meant to reach
 DEFAULT_LEVEL = {"direct": "ac", "support": "ac", "range": "range", "bound": "bound"}
@@ -86,9 +86,13 @@ def _split_header(text: str):
     fields = dict(
         part.split("=", 1) for part in lines[0].split()[2:] if "=" in part
     )
-    name = fields.get("encoding", "support")
-    hall_text = fields.get("hall_limit", "-")
-    kind = EncodingKind(name, None if hall_text == "-" else int(hall_text))
+    hall = fields.get("hall_limit", "-")
+    if hall != "-" and not hall.isdecimal():
+        raise ValueError(f"encode header: bad hall_limit {hall!r}")
+    try:
+        kind = EncodingKind(fields.get("encoding", "support"), None if hall == "-" else int(hall))
+    except ValueError as exc:
+        raise ValueError(f"encode header: {exc}") from None
     body = []
     for line in lines[1:]:
         if line.strip() == "% end":
@@ -143,68 +147,38 @@ def _cmd_solve(args) -> int:
         else:
             enc = encode(instance, _kind(args))
             program = enc.program
-    store = completion_nogoods(program)
-    sizes = _store_sizes(store)  # before the search adds nogoods
     if args.emit_nogoods:
-        _write_text(args.emit_nogoods, dump_nogoods(store))
-    cfg = SolverConfig(timeout_s=args.timeout)
-
-    out = []
-    if args.enumerate is not None:
-        limit = args.enumerate if args.enumerate > 0 else None
-        models, stats, status = enumerate_models(store, cfg, limit=limit)
-        for i, model in enumerate(models, 1):
-            out.append(f"MODEL {i}")
-            out.extend(_model_lines(enc, program, model, headered))
-        out.append(f"models = {len(models)}")
-        if args.stats:
-            out.append(f"{stats.as_text()} {sizes}")
-        _write_text(args.output, "\n".join(out) + "\n")
-        if status == UNKNOWN:
-            return 2
-        return 10 if models else 20
-    result = solve(store, cfg)
-    if result.status == SAT:
-        out.append("SAT")
-        out.extend(_model_lines(enc, program, result.assignment, headered))
-    else:
-        out.append(result.status)
-    if args.stats:
-        out.append(f"{result.stats.as_text()} {sizes}")
-    _write_text(args.output, "\n".join(out) + "\n")
-    if result.status == SAT:
-        return 10
-    if result.status == UNSAT:
-        return 20
-    return 2
-
-
-def _store_sizes(store: NogoodStore) -> str:
-    bodies = sum(isinstance(e, BodyId) for e in store.entities)
-    return (
-        f"entities={store.n_entities} bodies={bodies} "
-        f"nogoods={store.n_static} cardinalities={len(store.cardinalities)}"
-    )
-
-
-def _model_lines(enc, program, assignment, headered):
-    if enc is None:
-        true = {lit.entity for lit in assignment if lit.truth}
-        return [str(atom) for atom in program.atoms() if atom in true]
+        _write_text(args.emit_nogoods, dump_nogoods(completion_nogoods(program)))
+    enumerating = args.enumerate is not None
+    limit = (args.enumerate if args.enumerate > 0 else None) if enumerating else 1
     try:
-        values = decode(enc, assignment)
+        status, answers, stats, sizes = run(program, enc, args.timeout, limit)
     except ValueError as exc:
         if not headered:
             raise
-        # an edited body can drop or pin the header's encoding atoms
+        # an edited body can drop, pin or free the header's encoding atoms
         raise ValueError(f"the program body does not match its header: {exc}") from None
-    return [f"{decl.name} = {values[decl.name]}" for decl in enc.instance.variables]
+    out = [] if enumerating else [status]
+    for i, answer in enumerate(answers, 1):
+        if enumerating:
+            out.append(f"MODEL {i}")
+        out.extend(map(str, answer) if enc is None else (f"{k} = {v}" for k, v in answer.items()))
+    if enumerating:
+        out.append(f"models = {len(answers)}")
+    if args.stats:
+        out.append(stats.as_text() + "".join(f" {k}={v}" for k, v in sizes.items()))
+    _write_text(args.output, "\n".join(out) + "\n")
+    return {SAT: 10, UNSAT: 20}.get(status, 2)
 
 
 # -- check ------------------------------------------------------------------------
 
 
 def _cmd_check(args) -> int:
+    for flag, value, least in (("--max-vars", args.max_vars, 2),
+                               ("--max-dom", args.max_dom, 1), ("--trials", args.trials, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, not {value}")
     kind = _kind(args)
     level = args.level or DEFAULT_LEVEL[kind.name]
     hole_free = kind.name == "bound"

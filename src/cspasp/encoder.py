@@ -26,6 +26,7 @@ from .csp import (
     TABLE,
     CspInstance,
     DomainState,
+    check_solution,
     validate_state,
 )
 from .errors import CapExceeded
@@ -43,7 +44,8 @@ from .program import (
     normalize_cardinality,  # not called here; perfbench's trace_nested rebinds it
     pos,
 )
-from .propagation import SignedLiteral, Trail, unit_propagate
+from .propagation import BodyId, SignedLiteral, Trail, unit_propagate
+from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models
 
 ENCODING_NAMES = ("direct", "support", "bound", "range")
 
@@ -570,6 +572,41 @@ def decode(enc: Encoding, assignment) -> dict[str, int]:
             )
         solution[name] = emap.original(picks[0])
     return solution
+
+
+def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, limit=1):
+    """Complete a program, search it and read back up to ``limit`` models.
+
+    Returns ``(status, answers, stats, sizes)``.  The status is UNKNOWN
+    when the time budget ran out, else SAT or UNSAT by whether a model
+    was found; ``limit`` None means all models.  With an encoding of the
+    program, each answer is its model decoded and checked against the
+    instance, and a model that decodes to a non-solution raises
+    ValueError instead of being reported.  Without one, an answer lists
+    the program's true atoms in program order.  ``sizes`` counts the
+    completed store before the search adds nogoods to it.
+    """
+    store = completion_nogoods(program)
+    sizes = {
+        "entities": store.n_entities,
+        "bodies": sum(isinstance(e, BodyId) for e in store.entities),
+        "nogoods": store.n_static,
+        "cardinalities": len(store.cardinalities),
+    }
+    models, stats, status = enumerate_models(store, SolverConfig(timeout_s=timeout_s), limit)
+    answers = []
+    for model in models:
+        if enc is None:
+            true = {lit.entity for lit in model if lit.truth}
+            answers.append([atom for atom in program.atoms() if atom in true])
+            continue
+        solution = decode(enc, model)
+        if not check_solution(enc.instance, solution):
+            raise ValueError(f"the model decodes to {solution}, which is not a solution")
+        answers.append(solution)
+    if status != UNKNOWN:
+        status = SAT if answers else UNSAT
+    return status, answers, stats, sizes
 
 
 # the atom that pruned_domains reads back under each encoding

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,39 @@ def test_solve_reports_a_body_that_does_not_match_its_header(capsys, tmp_path, b
     assert f"determines {count} values for variable x" in err
 
 
+def test_solve_reports_a_body_that_lets_a_non_solution_through(capsys, tmp_path):
+    path = write(tmp_path, "t.csp", TINY)
+    code, encoded, _ = run(capsys, "encode", "-e", "direct", path)
+    assert code == 0
+    cut = encoded.replace(":- e(x,1), e(y,1).\n", "").replace(":- e(x,2), e(y,2).\n", "")
+    assert len(cut.splitlines()) == len(encoded.splitlines()) - 2
+    code, out, err = run(capsys, "solve", write(tmp_path, "t.lp", cut))
+    assert (code, out) == (1, "")
+    assert err == (
+        "cspasp: error: the program body does not match its header: "
+        "the model decodes to {'x': 2, 'y': 2}, which is not a solution\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("hall_limit=x", "bad hall_limit 'x'"),
+        ("encoding=foo", "unknown encoding: 'foo'"),
+        ("hall_limit=0", "hall_limit only applies to the bound/range encodings"),
+    ],
+)
+def test_solve_names_a_bad_header_field(capsys, tmp_path, field, message):
+    path = write(tmp_path, "t.csp", TINY)
+    code, encoded, _ = run(capsys, "encode", "-e", "direct", path)
+    assert code == 0
+    key = field.split("=")[0]
+    edited = re.sub(rf"{key}=\S+", field, encoded, count=1)
+    code, out, err = run(capsys, "solve", write(tmp_path, "t.lp", edited))
+    assert (code, out) == (1, "")
+    assert err == f"cspasp: error: encode header: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [["-e", "range"], ["--hall-limit", "3"]])
 def test_solve_rejects_encoding_flags_on_a_ground_program(capsys, tmp_path, flags):
     path = write(tmp_path, "g.lp", "{a; b}.\n:- a, b.\n")
@@ -201,6 +235,128 @@ def test_solve_keeps_cardinality_rules_as_counting_constraints(capsys, tmp_path)
     # the at-most-one rules (one per variable, one per value), with no ladder
     assert len(counted) == 4
     assert "_cnt" not in dump.read_text()
+
+
+# -- pinned outputs --------------------------------------------------------------
+
+DEMO = "var x 1 3\nvar y 1 3\nvar z 1 3\nalldifferent x y z\nassign x 2\n"
+BARE = "{a; b}.\n:- a, b.\n:- not a, not b.\n"
+DEMO_ANSWER = "SAT\nx = 2\ny = 3\nz = 1\n"
+TINY_NOGOODS = (
+    "F body#0\nF e(x,1), F e(x,2)\nF e(y,1), F e(y,2)\n"
+    "T e(x,1), T e(y,1)\nT e(x,2), T e(y,2)\nT e(x,1), F body#0\n"
+    "T e(x,2), F body#0\nT e(y,1), F body#0\nT e(y,2), F body#0\n"
+    ":- 2 {T e(x,1); T e(x,2)}\n:- 2 {T e(y,1); T e(y,2)}\n"
+)
+BENCH_TABLE = (
+    "family  params                  encoding  hall_limit  status  decisions"
+    "  conflicts  propagations  time_ms  atoms  rules\n"
+    "php     n=4                     bound                 UNSAT   0          1"
+    "          9             T        36     46\n"
+    "php     n=4                     support               UNSAT   9          7"
+    "          54            T        12     15\n"
+    "qcp     order=3,fill=30,seed=1  bound                 SAT     0          0"
+    "          73            T        72     112\n"
+    "qcp     order=3,fill=30,seed=1  support               SAT     0          0"
+    "          22            T        21     41\n"
+)
+BENCH_CSV = (
+    "family,params,encoding,hall_limit,status,decisions,conflicts,"
+    "propagations,time_ms,atoms,rules\n"
+    "php,n=4,bound,,UNSAT,0,1,9,T,36,46\n"
+    "php,n=4,support,,UNSAT,9,7,54,T,12,15\n"
+    'qcp,"order=3,fill=30,seed=1",bound,,SAT,0,0,73,T,72,112\n'
+    'qcp,"order=3,fill=30,seed=1",support,,SAT,0,0,22,T,21,41\n'
+)
+
+# (argv, expected exit code, expected stdout, expected written files)
+PINNED = {
+    "direct": (["solve", "-e", "direct", "demo.csp"], 10, DEMO_ANSWER, {}),
+    "support": (["solve", "-e", "support", "demo.csp"], 10, DEMO_ANSWER, {}),
+    "bound": (["solve", "-e", "bound", "demo.csp"], 10, DEMO_ANSWER, {}),
+    "range": (["solve", "-e", "range", "demo.csp"], 10, DEMO_ANSWER, {}),
+    "piped-encode": (["solve", "demo.lp"], 10, DEMO_ANSWER, {}),
+    "bare": (["solve", "bare.lp"], 10, "SAT\nb\n", {}),
+    "bare-enumerate-stats": (
+        ["solve", "--enumerate", "0", "--stats", "bare.lp"], 10,
+        "MODEL 1\nb\nMODEL 2\na\nmodels = 2\n"
+        "decisions=1 conflicts=0 propagations=4 restarts=0 learned=0 time_ms=T"
+        " entities=3 bodies=1 nogoods=5 cardinalities=0\n",
+        {},
+    ),
+    "enumerate-0": (
+        ["solve", "-e", "direct", "--enumerate", "0", "demo.csp"], 10,
+        "MODEL 1\nx = 2\ny = 3\nz = 1\nMODEL 2\nx = 2\ny = 1\nz = 3\nmodels = 2\n",
+        {},
+    ),
+    "enumerate-1": (
+        ["solve", "--enumerate", "1", "demo.csp"], 10,
+        "MODEL 1\nx = 2\ny = 3\nz = 1\nmodels = 1\n", {},
+    ),
+    "stats": (
+        ["solve", "-e", "range", "--stats", "demo.csp"], 10,
+        DEMO_ANSWER + "decisions=1 conflicts=0 propagations=17 restarts=0 learned=0"
+        " time_ms=T entities=18 bodies=0 nogoods=44 cardinalities=5\n",
+        {},
+    ),
+    "timeout": (["solve", "--timeout", "0", "php8.csp"], 2, "UNKNOWN\n", {}),
+    "timeout-enumerate": (
+        ["solve", "--timeout", "0", "--enumerate", "0", "--stats", "php8.csp"], 2,
+        "models = 0\ndecisions=0 conflicts=0 propagations=1 restarts=0 learned=0"
+        " time_ms=T entities=57 bodies=1 nogoods=65 cardinalities=15\n",
+        {},
+    ),
+    "unsat-enumerate": (
+        ["solve", "-e", "bound", "--enumerate", "3", "unsat.csp"], 20, "models = 0\n", {},
+    ),
+    "emit-nogoods": (
+        ["solve", "-e", "direct", "--emit-nogoods", "ng.txt", "tiny.csp"], 10,
+        "SAT\nx = 2\ny = 1\n", {"ng.txt": TINY_NOGOODS},
+    ),
+    "emit-nogoods-stdout": (
+        ["solve", "-e", "direct", "--emit-nogoods", "-", "tiny.csp"], 10,
+        TINY_NOGOODS + "SAT\nx = 2\ny = 1\n", {},
+    ),
+    "output-file": (
+        ["solve", "-e", "support", "-o", "out.txt", "demo.csp"], 10, "",
+        {"out.txt": DEMO_ANSWER},
+    ),
+    "bench-csv": (
+        ["bench", "--spec", "php:n=4", "--spec", "qcp:order=3,fill=30,seed=1",
+         "-e", "bound", "-e", "support", "--csv", "rows.csv"], 0,
+        BENCH_TABLE, {"rows.csv": BENCH_CSV},
+    ),
+}
+
+
+def scrub_times(text):
+    """Replace every time_ms value by T: in stats lines, bench CSV and bench tables."""
+    text = re.sub(r"time_ms=\d+", "time_ms=T", text)
+    text = re.sub(r"^(php|qcp)(,.*,)\d+(,\d+,\d+)$", r"\1\2T\3", text, flags=re.M)
+    lines = text.splitlines(keepends=True)
+    if lines and lines[0].startswith("family  "):
+        col = lines[0].index("time_ms")
+        width = len("time_ms")
+        lines[1:] = [
+            line[:col] + "T".ljust(width) + line[col + width:] for line in lines[1:]
+        ]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_pinned_outputs(capsys, tmp_path, monkeypatch, case):
+    argv, want_code, want_out, want_files = PINNED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in [("demo.csp", DEMO), ("tiny.csp", TINY), ("unsat.csp", UNSAT_TINY),
+                       ("bare.lp", BARE)]:
+        write(tmp_path, name, text)
+    assert main(["encode", "-e", "bound", "-o", "demo.lp", "demo.csp"]) == 0
+    assert main(["gen", "php", "--n", "8", "-o", "php8.csp"]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, scrub_times(out), err) == (want_code, want_out, "")
+    for name, text in want_files.items():
+        assert scrub_times((tmp_path / name).read_text()) == text
 
 
 # -- errors ----------------------------------------------------------------------
@@ -271,6 +427,26 @@ def test_check_default_level_follows_encoding(capsys):
     code, out, _ = run(capsys, "check", "--encoding", "range", "--trials", "10")
     assert code == 0
     assert out == "agree 10/10\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-vars", "1"], "--max-vars must be at least 2, not 1"),
+        (["--max-dom", "0"], "--max-dom must be at least 1, not 0"),
+        (["--trials", "-5"], "--trials must be at least 0, not -5"),
+    ],
+)
+def test_check_rejects_out_of_range_flags(capsys, flags, message):
+    code, out, err = run(capsys, "check", *flags)
+    assert (code, out, err) == (1, "", f"cspasp: error: {message}\n")
+
+
+def test_check_accepts_the_smallest_flags(capsys):
+    code, out, _ = run(capsys, "check", "--max-vars", "2", "--max-dom", "1", "--trials", "0")
+    assert (code, out) == (0, "agree 0/0\n")
+    code, out, _ = run(capsys, "check", "--max-vars", "2", "--max-dom", "1", "--trials", "5")
+    assert (code, out) == (0, "agree 5/5\n")
 
 
 # -- gen -------------------------------------------------------------------------

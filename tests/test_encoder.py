@@ -29,6 +29,7 @@ from cspasp.encoder import (
     decode,
     encode,
     pruned_domains,
+    run,
     seed_assignment,
 )
 from cspasp.program import (
@@ -462,6 +463,20 @@ def test_decode_rejects_incomplete_assignments():
                 SignedLiteral(Atom("e", ("x", 2)), True),
             ],
         )
+
+
+@pytest.mark.parametrize("kind", ENCODING_NAMES)
+def test_run_raises_on_a_model_that_decodes_to_a_non_solution(kind):
+    # the program lacks the all-different's rules, so some of its models
+    # give x and y one value; run must not report those as answers
+    inst = parse_instance("var x 1 2\nvar y 1 2\nalldifferent x y\n")
+    free = encode(parse_instance("var x 1 2\nvar y 1 2\n"), EncodingKind(kind))
+    with pytest.raises(ValueError, match="which is not a solution"):
+        run(free.program, Encoding(inst, free.kind, free.emap, free.program), limit=None)
+    enc = encode(inst, EncodingKind(kind))
+    status, answers, _, _ = run(enc.program, enc, limit=None)
+    assert status == "SAT"
+    assert sorted(answers, key=lambda a: a["x"]) == [{"x": 1, "y": 2}, {"x": 2, "y": 1}]
 
 
 # -- maximal empty boxes ------------------------------------------------------------
