@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .csp import (
     ALLDIFFERENT,
@@ -368,10 +368,7 @@ class BenchRow:
     rules: int
 
 
-_COLUMNS = (
-    "family,params,encoding,hall_limit,status,decisions,conflicts,"
-    "propagations,time_ms,atoms,rules"
-).split(",")
+_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 class BenchReport:

@@ -94,6 +94,30 @@ def _check_permutation(scope, by_name) -> None:
         )
 
 
+def _declare(decl, by_name) -> None:
+    """Add a declaration to ``by_name``; a name may be declared once."""
+    if decl.name in by_name:
+        raise ValueError(f"variable {decl.name} declared twice")
+    by_name[decl.name] = decl
+
+
+def _assign(name, value, by_name, fixed) -> None:
+    """Record a pre-assignment in ``fixed``; the value must lie in the
+    domain and agree with the variable's earlier assignments."""
+    if value not in by_name[name].domain:
+        raise ValueError(f"assigned value {value} outside the domain of {name}")
+    if fixed.setdefault(name, value) != value:
+        raise ValueError(f"conflicting assignments to {name}")
+
+
+def _check_tuple_values(scope, tuples, by_name) -> None:
+    """Every tuple value must lie in its variable's domain."""
+    for t in tuples:
+        for v, value in zip(scope, t):
+            if value not in by_name[v].domain:
+                raise ValueError(f"tuple value {value} outside the domain of {v}")
+
+
 class CspInstance:
     """Validated variables + constraints + singleton pre-assignments."""
 
@@ -105,32 +129,21 @@ class CspInstance:
         self.assignments = tuple(tuple(a) for a in assignments)
         by_name = {}
         for decl in self.variables:
-            if decl.name in by_name:
-                raise ValueError(f"variable {decl.name} declared twice")
-            by_name[decl.name] = decl
+            _declare(decl, by_name)
         self._by_name = by_name
         for c in self.constraints:
             for v in c.scope:
                 if v not in by_name:
                     raise ValueError(f"constraint mentions undeclared variable {v}")
             if c.kind == TABLE:
-                for t in c.tuples:
-                    for v, value in zip(c.scope, t):
-                        if value not in by_name[v].domain:
-                            raise ValueError(
-                                f"tuple value {value} outside the domain of {v}"
-                            )
+                _check_tuple_values(c.scope, c.tuples, by_name)
             elif c.kind == PERMUTATION:
                 _check_permutation(c.scope, by_name)
         fixed: dict[str, int] = {}
         for name, value in self.assignments:
             if name not in by_name:
                 raise ValueError(f"assignment to undeclared variable {name}")
-            if value not in by_name[name].domain:
-                raise ValueError(f"assigned value {value} outside the domain of {name}")
-            if fixed.get(name, value) != value:
-                raise ValueError(f"conflicting assignments to {name}")
-            fixed[name] = value
+            _assign(name, value, by_name, fixed)
         self._fixed = fixed
 
     def var(self, name: str) -> VariableDecl:
@@ -400,7 +413,6 @@ def parse_instance(text: str) -> CspInstance:
 
     ``#`` starts a comment.  Errors carry line and column positions.
     """
-    variables: list[VariableDecl] = []
     constraints: list[Constraint] = []
     assignments: list[tuple[str, int]] = []
     declared: dict[str, VariableDecl] = {}
@@ -410,11 +422,7 @@ def parse_instance(text: str) -> CspInstance:
     for _ in toks.statements():
         head = toks.next()
         if head == "var":
-            decl = _parse_var(toks)
-            if decl.name in declared:
-                raise toks.error(f"variable {decl.name} declared twice")
-            declared[decl.name] = decl
-            variables.append(decl)
+            toks.build(_declare, _parse_var(toks), declared)
         elif head in (ALLDIFFERENT, PERMUTATION):
             names = []
             while toks.peek() is not None:
@@ -430,14 +438,11 @@ def parse_instance(text: str) -> CspInstance:
         elif head == "assign":
             name = _expect_name(toks, declared)
             value = _expect_int(toks)
-            if value not in declared[name].domain:
-                raise toks.error(f"assigned value {value} outside the domain of {name}")
-            if fixed.setdefault(name, value) != value:
-                raise toks.error(f"conflicting assignments to {name}")
+            toks.build(_assign, name, value, declared, fixed)
             assignments.append((name, value))
         else:
             raise toks.error_at_last(f"unknown directive {head!r}")
-    return CspInstance(variables, constraints, assignments)
+    return CspInstance(declared.values(), constraints, assignments)
 
 
 def _expect_int(toks: Tokens) -> int:
@@ -493,11 +498,8 @@ def _parse_table(toks: Tokens, declared):
         if len(t) != len(scope):
             raise toks.error(f"tuple {tuple(t)} does not match scope arity {len(scope)}")
         tuples.append(tuple(t))
-    # catch out-of-domain values here so the error carries the line
-    for t in tuples:
-        for v, value in zip(scope, t):
-            if value not in declared[v].domain:
-                raise toks.error(f"tuple value {value} outside the domain of {v}")
+    # checked here as well as in CspInstance so the error carries the line
+    toks.build(_check_tuple_values, scope, tuples, declared)
     return tuple(scope), tuple(tuples)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .csp import (
     ALLDIFFERENT,
@@ -120,6 +121,25 @@ class Encoding:
     kind: EncodingKind
     emap: EncodingMap
     program: GroundProgram
+
+    def value_atom(self, name: str, i: int) -> Atom:
+        """The atom for internal value i of a variable: e(v,i) and r(v,i,i)
+        say v = i, b(v,i) says v <= i."""
+        if self.kind.name == "bound":
+            return self.emap.b_atom(name, i)
+        if self.kind.name == "range":
+            return self.emap.r_atom(name, i, i)
+        return self.emap.e_atom(name, i)
+
+    @cached_property
+    def value_atoms(self) -> dict[Atom, tuple[str, int]]:
+        """Each value atom over the window, mapped to its (variable,
+        internal value); readback ignores every atom outside it."""
+        return {
+            self.value_atom(name, i): (name, i)
+            for name in self.emap.values
+            for i in range(1, self.emap.d + 1)
+        }
 
 
 def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
@@ -457,6 +477,7 @@ def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
     validate_state(enc.instance, state)
     emap = enc.emap
     kind = enc.kind.name
+    atom = enc.value_atom
     seeds: list[SignedLiteral] = []
     seen = set()
 
@@ -471,64 +492,58 @@ def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
         if not current:
             raise ValueError(f"variable {name} has an empty current domain")
         declared = emap.values[name]
+        lo, hi = current[0], current[-1]
+        if kind == "bound":
+            if hi < declared[-1]:
+                emit(SignedLiteral(atom(name, hi), True))
+            if lo > declared[0]:
+                emit(SignedLiteral(atom(name, lo - 1), False))
+            continue
         kept = set(current)
-        removed = [i for i in declared if i not in kept]
-        if kind in ("direct", "support"):
-            for i in removed:
-                emit(SignedLiteral(emap.e_atom(name, i), False))
-        elif kind == "range":
-            for i in removed:
-                emit(SignedLiteral(emap.r_atom(name, i, i), False))
-            lo, hi = current[0], current[-1]
+        for i in declared:
+            if i not in kept:
+                emit(SignedLiteral(atom(name, i), False))
+        if kind == "range":
             if lo >= 2:
                 emit(SignedLiteral(emap.r_atom(name, 1, lo - 1), False))
             if hi <= emap.d - 1:
                 emit(SignedLiteral(emap.r_atom(name, hi + 1, emap.d), False))
-        else:
-            lo, hi = current[0], current[-1]
-            if hi < declared[-1]:
-                emit(SignedLiteral(emap.b_atom(name, hi), True))
-            if lo > declared[0]:
-                emit(SignedLiteral(emap.b_atom(name, lo - 1), False))
     return seeds
 
 
 def pruned_domains(enc: Encoding, assignment) -> DomainState:
-    """Read a (partial) assignment back as pruned initial domains."""
+    """Read a (partial) assignment back as pruned initial domains.
+
+    A false e(v,i) or r(v,i,i) removes i.  Under bound a true b(v,i)
+    caps v at i and a false one lifts v above i.
+    """
     emap = enc.emap
-    kind = enc.kind.name
-    removed: dict[str, set[int]] = {d.name: set() for d in enc.instance.variables}
-    upper: dict[str, int] = {}
-    lower: dict[str, int] = {}
+    table = enc.value_atoms
+    bound = enc.kind.name == "bound"
+    names = enc.instance.names()
+    lower = dict.fromkeys(names, 1)
+    upper = dict.fromkeys(names, emap.d)
+    removed: dict[str, set[int]] = {name: set() for name in names}
     for lit in assignment:
-        atom = lit.entity
-        if not isinstance(atom, Atom):
+        hit = table.get(lit.entity)
+        if hit is None:
             continue
-        if kind in ("direct", "support") and atom.name == "e" and not lit.truth:
-            name, i = atom.args
-            removed[name].add(i)
-        elif kind == "range" and atom.name == "r" and not lit.truth:
-            name, l, u = atom.args
-            if l == u:
-                removed[name].add(l)
-        elif kind == "bound" and atom.name == "b":
-            name, i = atom.args
-            if lit.truth:
-                upper[name] = min(upper.get(name, i), i)
-            else:
-                lower[name] = max(lower.get(name, i), i)
-    domains = {}
-    for decl in enc.instance.variables:
-        name = decl.name
-        vals = emap.values[name]
-        if kind == "bound":
-            lo = lower.get(name, 0) + 1
-            hi = upper.get(name, emap.d)
-            keep = [i for i in vals if lo <= i <= hi]
+        name, i = hit
+        if not bound:
+            if not lit.truth:
+                removed[name].add(i)
+        elif lit.truth:
+            upper[name] = min(upper[name], i)
         else:
-            keep = [i for i in vals if i not in removed[name]]
-        domains[name] = tuple(emap.original(i) for i in keep)
-    return DomainState(domains)
+            lower[name] = max(lower[name], i + 1)
+    return DomainState({
+        name: tuple(
+            emap.original(i)
+            for i in emap.values[name]
+            if lower[name] <= i <= upper[name] and i not in removed[name]
+        )
+        for name in names
+    })
 
 
 def decode(enc: Encoding, assignment) -> dict[str, int]:
@@ -538,39 +553,21 @@ def decode(enc: Encoding, assignment) -> dict[str, int]:
     determine a single value for it.  On a model of the encoding's own
     program that would mean the encoding is broken, so it fails loudly.
     """
-    emap = enc.emap
-    kind = enc.kind.name
-    names = enc.instance.names()
-    chosen: dict[str, list[int]] = {name: [] for name in names}
-    if kind in ("direct", "support"):
-        for lit in assignment:
-            atom = lit.entity
-            if isinstance(atom, Atom) and atom.name == "e" and lit.truth:
-                chosen[atom.args[0]].append(atom.args[1])
-    elif kind == "range":
-        for lit in assignment:
-            atom = lit.entity
-            if isinstance(atom, Atom) and atom.name == "r" and lit.truth:
-                name, l, u = atom.args
-                if l == u:
-                    chosen[name].append(l)
-    else:
-        best: dict[str, int] = {}
-        for lit in assignment:
-            atom = lit.entity
-            if isinstance(atom, Atom) and atom.name == "b" and lit.truth:
-                name, i = atom.args
-                best[name] = min(best.get(name, emap.d), i)
-        for name, i in best.items():
-            chosen[name].append(i)
+    table = enc.value_atoms
+    chosen: dict[str, set[int]] = {name: set() for name in enc.instance.names()}
+    for lit in assignment:
+        if lit.truth and lit.entity in table:
+            name, i = table[lit.entity]
+            chosen[name].add(i)
     solution = {}
-    for name in names:
-        picks = sorted(set(chosen[name]))
+    for name, picks in chosen.items():
+        if enc.kind.name == "bound" and picks:
+            picks = {min(picks)}  # the least true b(v,i) is v's value
         if len(picks) != 1:
             raise ValueError(
                 f"assignment determines {len(picks)} values for variable {name}"
             )
-        solution[name] = emap.original(picks[0])
+        solution[name] = enc.emap.original(picks.pop())
     return solution
 
 
@@ -609,10 +606,6 @@ def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, lim
     return status, answers, stats, sizes
 
 
-# the atom that pruned_domains reads back under each encoding
-_READBACK_ATOM = {"direct": "e", "support": "e", "range": "r", "bound": "b"}
-
-
 class EncodingPropagator:
     """Unit propagation harness over an encoding's completion nogoods.
 
@@ -628,15 +621,10 @@ class EncodingPropagator:
         self.store = completion_nogoods(enc.program)
         self.trail = Trail(self.store)
         self.root_conflict = unit_propagate(self.store, self.trail) is not None
-        kind = enc.kind.name
-        name = _READBACK_ATOM[kind]
-        # of the range atoms, pruned_domains reads only the singletons r(v,i,i)
         self._readback = [
             (idx, entity)
             for idx, entity in enumerate(self.store.entities)
-            if isinstance(entity, Atom)
-            and entity.name == name
-            and (kind != "range" or entity.args[1] == entity.args[2])
+            if entity in enc.value_atoms
         ]
 
     def propagate(self, state: DomainState) -> DomainState | None:

@@ -128,7 +128,7 @@ class NogoodStore:
         """
         codes = sorted({self.code(lit) for lit in literals})
         if learned:
-            return self._install(codes, True)
+            return self.add_codes(codes)
         return self.add_static_codes(codes)
 
     def add_static_codes(self, codes) -> int:
@@ -137,15 +137,13 @@ class NogoodStore:
         hit = self._static_keys.get(key)
         if hit is not None:
             return hit
-        ng_id = self._install(list(codes), False)
+        ng_id = self.add_codes(codes, learned=False)
         self._static_keys[key] = ng_id
         return ng_id
 
-    def add_codes(self, codes: list[int], *, learned: bool = True) -> int:
+    def add_codes(self, codes, *, learned: bool = True) -> int:
         """Install a nogood from raw codes, preserving watch order."""
-        return self._install(list(codes), learned)
-
-    def _install(self, codes: list[int], learned: bool) -> int:
+        codes = list(codes)
         if not codes:
             raise ValueError("empty nogood: the problem is trivially inconsistent")
         ng = Nogood(codes, learned)

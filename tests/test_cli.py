@@ -139,19 +139,40 @@ def test_solve_reads_raw_ground_programs(capsys, tmp_path):
     assert out in ("SAT\na\n", "SAT\nb\n")  # exactly one atom survives
 
 
+def x_header(capsys, tmp_path, encoding):
+    """The ``encode -e <encoding>`` header of ``var x 1 2``."""
+    path = write(tmp_path, "x.csp", "var x 1 2\n")
+    code, encoded, _ = run(capsys, "encode", "-e", encoding, path)
+    assert code == 0
+    return encoded[: encoded.index("% end\n") + len("% end\n")]
+
+
 @pytest.mark.parametrize(
-    "body, count", [("a.\n", 0), ("e(x,1).\ne(x,2).\n", 2)], ids=["no-value", "two-values"]
+    "body, count",
+    [("a.\n", 0), ("e(x,1).\ne(x,2).\n", 2), ("e(x).\n", 0)],
+    ids=["no-value", "two-values", "short-atom"],
 )
 def test_solve_reports_a_body_that_does_not_match_its_header(capsys, tmp_path, body, count):
-    path = write(tmp_path, "x.csp", "var x 1 2\n")
-    code, encoded, _ = run(capsys, "encode", "-e", "direct", path)
-    assert code == 0
-    header = encoded[: encoded.index("% end\n") + len("% end\n")]
-    mismatched = write(tmp_path, "x.lp", header + body)
+    mismatched = write(tmp_path, "x.lp", x_header(capsys, tmp_path, "direct") + body)
     code, out, err = run(capsys, "solve", mismatched)
     assert code == 1 and out == ""
-    assert "does not match its header" in err
-    assert f"determines {count} values for variable x" in err
+    assert err == (
+        "cspasp: error: the program body does not match its header: "
+        f"assignment determines {count} values for variable x\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "encoding, body",
+    [
+        ("direct", "e(z,1).\n{e(x,1)}.\n:- not e(x,1).\n"),
+        ("bound", "b(z,1).\nb(x,1).\nb(x,2).\n"),
+    ],
+    ids=["direct", "bound"],
+)
+def test_solve_ignores_value_atoms_of_undeclared_variables(capsys, tmp_path, encoding, body):
+    edited = write(tmp_path, "x.lp", x_header(capsys, tmp_path, encoding) + body)
+    assert run(capsys, "solve", edited) == (10, "SAT\nx = 1\n", "")
 
 
 def test_solve_reports_a_body_that_lets_a_non_solution_through(capsys, tmp_path):

@@ -412,19 +412,24 @@ def test_propagator_returns_to_its_root_after_a_conflict_or_an_error(kind_name):
     assert conflicts >= 1 and failures >= 1
 
 
-def test_pruned_domains_reads_back_partial_assignments():
-    inst = parse_instance(HALL_WINDOW)
-    enc = encode(inst, EncodingKind("direct"))
+@pytest.mark.parametrize(
+    "kind, literals, pruned",
+    [
+        # a positive value atom prunes nothing under direct
+        ("direct", [("e", ("v1", 2), False), ("e", ("v2", 1), True)], {"v1": (1, 3, 4)}),
+        # b(v,i) says v <= i: true caps v at i, false lifts v above i
+        ("bound", [("b", ("v1", 3), True), ("b", ("v1", 1), False)], {"v1": (2, 3)}),
+        # only the singletons r(v,i,i) name a value; a false r(v,1,3) prunes nothing
+        ("range", [("r", ("v1", 2, 2), False), ("r", ("v2", 1, 3), False)], {"v1": (1, 3, 4)}),
+    ],
+    ids=["direct", "bound", "range"],
+)
+def test_pruned_domains_reads_back_partial_assignments(kind, literals, pruned):
+    enc = encode(parse_instance(HALL_WINDOW), EncodingKind(kind))
     got = pruned_domains(
-        enc,
-        [
-            SignedLiteral(Atom("e", ("v1", 2)), False),
-            SignedLiteral(Atom("e", ("v2", 1)), True),
-        ],
+        enc, [SignedLiteral(Atom(name, args), truth) for name, args, truth in literals]
     )
-    assert got.domains["v1"] == (1, 3, 4)
-    assert got.domains["v2"] == (1, 2, 3, 4)  # a positive atom prunes nothing here
-    assert got.domains["v4"] == (1, 2, 3, 4)
+    assert got.domains == {v: pruned.get(v, (1, 2, 3, 4)) for v in ("v1", "v2", "v3", "v4")}
 
 
 # -- decoding full models -----------------------------------------------------------
