@@ -330,12 +330,36 @@ def random_state(rng: random.Random, instance: CspInstance, intervals: bool = Fa
 # -- suite runner -------------------------------------------------------------------
 
 
+# the parameters each benchmark family takes, as ``cspasp gen`` names them
+FAMILY_PARAMS = {
+    "php": ("n",),
+    "qcp": ("order", "fill", "seed", "permutation"),
+    "qep": ("axiom", "order"),
+    "ggp": ("n",),
+}
+
+
 @dataclass
 class BenchSpec:
-    """One benchmark instance request: family name plus its parameters."""
+    """One benchmark instance request: family name plus its parameters.
+
+    A family or parameter name that ``FAMILY_PARAMS`` does not list is
+    rejected on construction, so a suite stops before its first run.
+    """
 
     family: str
     params: dict
+
+    def __post_init__(self):
+        takes = FAMILY_PARAMS.get(self.family)
+        if takes is None:
+            raise ValueError(f"unknown benchmark family {self.family!r}")
+        unknown = [key for key in self.params if key not in takes]
+        if unknown:
+            raise ValueError(
+                f"benchmark family {self.family!r} takes no parameter "
+                f"{', '.join(map(repr, unknown))} (it takes {', '.join(takes)})"
+            )
 
     def label(self) -> str:
         return ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -348,9 +372,7 @@ class BenchSpec:
             return gen_qcp(p["order"], p["fill"], p["seed"], p.get("permutation", False))
         if self.family == "qep":
             return gen_qep(p["axiom"], p["order"])
-        if self.family == "ggp":
-            return gen_ggp_double_wheel(p["n"])
-        raise ValueError(f"unknown benchmark family {self.family!r}")
+        return gen_ggp_double_wheel(p["n"])
 
 
 @dataclass

@@ -61,6 +61,13 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
+def _require_at_least(flag: str, value, least) -> None:
+    """Reject a flag's value below ``least``; None means the flag is unset.
+    Written as "not >=" so that NaN, which fails every comparison, fails."""
+    if value is not None and not value >= least:
+        raise ValueError(f"{flag} must be at least {least}, not {value}")
+
+
 def _kind(args) -> EncodingKind:
     name = args.encoding or "support"
     hall = getattr(args, "hall_limit", None)
@@ -119,6 +126,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _require_at_least("--timeout", args.timeout, 0)
     text = _read_text(args.input)
     enc = None
     embedded = _split_header(text)
@@ -177,8 +185,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     for flag, value, least in (("--max-vars", args.max_vars, 2),
                                ("--max-dom", args.max_dom, 1), ("--trials", args.trials, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, not {value}")
+        _require_at_least(flag, value, least)
     kind = _kind(args)
     level = args.level or DEFAULT_LEVEL[kind.name]
     hole_free = kind.name == "bound"
@@ -266,6 +273,7 @@ def _parse_spec(text: str) -> BenchSpec:
 
 
 def _cmd_bench(args) -> int:
+    _require_at_least("--timeout", args.timeout, 0)
     specs = [_parse_spec(s) for s in args.spec]
     names = args.encoding or list(ENCODING_NAMES)
     kinds = [

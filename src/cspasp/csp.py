@@ -14,7 +14,6 @@ compared to, so it must not share machinery with them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,7 +33,6 @@ DOMAIN_CONSISTENCY = "domain"
 LEVELS = (AC_BINARY, BOUND_CONSISTENCY, RANGE_CONSISTENCY, DOMAIN_CONSISTENCY)
 
 SUPPORT_SEARCH_CAP = 10 ** 7
-ENUMERATION_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -209,11 +207,7 @@ def validate_state(instance: CspInstance, state: DomainState) -> None:
             raise ValueError(f"state of {name} contains undeclared values {sorted(extra)}")
 
 
-# -- solution checking and enumeration ----------------------------------------
-
-
-def _constraint_satisfied(instance: CspInstance, c: Constraint, assignment) -> bool:
-    return _satisfies(instance, c, tuple(assignment[v] for v in c.scope))
+# -- solution checking ---------------------------------------------------------
 
 
 def check_solution(instance: CspInstance, assignment) -> bool:
@@ -232,26 +226,10 @@ def check_solution(instance: CspInstance, assignment) -> bool:
     for name, value in instance.assignments:
         if assignment[name] != value:
             return False
-    return all(_constraint_satisfied(instance, c, assignment) for c in instance.constraints)
-
-
-def enumerate_solutions(instance: CspInstance, limit=None, cap=ENUMERATION_CAP):
-    """All solutions by brute force, sorted with variables in declaration order."""
-    names = instance.names()
-    domains = [instance.effective_domain(n) for n in names]
-    total = math.prod(len(d) for d in domains)
-    if total > cap:
-        raise CapExceeded(f"{total} candidate assignments exceed the cap {cap}")
-    out = []
-    for combo in itertools.product(*domains):
-        assignment = dict(zip(names, combo))
-        if all(
-            _constraint_satisfied(instance, c, assignment) for c in instance.constraints
-        ):
-            out.append(assignment)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+    return all(
+        _satisfies(instance, c, tuple(assignment[v] for v in c.scope))
+        for c in instance.constraints
+    )
 
 
 def binary_decomposition(c: Constraint, instance: CspInstance) -> list[Constraint]:

@@ -275,7 +275,7 @@ def _encode_range_lane(instance, emap, kind, rules):
         for l in range(1, d + 1):
             for u in range(l, d):
                 rules.append(IntegrityRule((pos(r(name, l, u)), neg(r(name, l, u + 1)))))
-        _carve_initial_domain(emap, name, rules, use_bounds=False)
+        _carve_range_domain(emap, name, rules)
     found: dict = {}
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
@@ -289,29 +289,21 @@ def _encode_range_lane(instance, emap, kind, rules):
                 )
 
 
-def _carve_initial_domain(emap, name, rules, use_bounds):
-    """Pin the initial domain: forbid the window edges and interior holes."""
+def _carve_range_domain(emap, name, rules):
+    """Pin the initial domain: r(v,1,lo-1), r(v,hi+1,d) and r(v,i,i) for
+    each interior hole i are false."""
     vals = emap.values[name]
     lo, hi = vals[0], vals[-1]
     d = emap.d
     declared = set(vals)
-    if use_bounds:
-        b = emap.b_atom
-        rules.append(IntegrityRule((neg(b(name, hi)),)))
-        if lo >= 2:
-            rules.append(IntegrityRule((pos(b(name, lo - 1)),)))
-        for i in range(lo + 1, hi):
-            if i not in declared:
-                rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i - 1)))))
-    else:
-        r = emap.r_atom
-        if lo >= 2:
-            rules.append(IntegrityRule((pos(r(name, 1, lo - 1)),)))
-        if hi <= d - 1:
-            rules.append(IntegrityRule((pos(r(name, hi + 1, d)),)))
-        for i in range(lo + 1, hi):
-            if i not in declared:
-                rules.append(IntegrityRule((pos(r(name, i, i)),)))
+    r = emap.r_atom
+    if lo >= 2:
+        rules.append(IntegrityRule((pos(r(name, 1, lo - 1)),)))
+    if hi <= d - 1:
+        rules.append(IntegrityRule((pos(r(name, hi + 1, d)),)))
+    for i in range(lo + 1, hi):
+        if i not in declared:
+            rules.append(IntegrityRule((pos(r(name, i, i)),)))
 
 
 def _interval_count_rules(emap, kind, c, rules):
@@ -357,7 +349,7 @@ def _encode_bound_lane(instance, emap, kind, rules):
         rules.append(ChoiceRule(tuple(atoms)))
         for i in range(1, d):
             rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i + 1)))))
-        _carve_initial_domain(emap, name, rules, use_bounds=True)
+        _carve_bound_domain(emap, name, rules)
     found: dict = {}
     for c in instance.constraints:
         if c.kind in (ALLDIFFERENT, PERMUTATION):
@@ -386,6 +378,21 @@ def _encode_bound_lane(instance, emap, kind, rules):
                 body.append(neg(emap.b_atom(name, l - 1)))
             body.append(pos(emap.b_atom(name, u)))
             rules.append(NormalRule(emap.r_atom(name, l, u), tuple(body)))
+
+
+def _carve_bound_domain(emap, name, rules):
+    """Pin the initial domain: b(v,hi) holds, b(v,lo-1) does not, and no
+    interior hole i has b(v,i) without b(v,i-1)."""
+    vals = emap.values[name]
+    lo, hi = vals[0], vals[-1]
+    declared = set(vals)
+    b = emap.b_atom
+    rules.append(IntegrityRule((neg(b(name, hi)),)))
+    if lo >= 2:
+        rules.append(IntegrityRule((pos(b(name, lo - 1)),)))
+    for i in range(lo + 1, hi):
+        if i not in declared:
+            rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i - 1)))))
 
 
 # -- table boxes -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ground logic programs: rules, normalization, semantics, completion.
+"""Ground logic programs: rules, tightness, completion, the text format.
 
 The fragment kept here is exactly what the encodings need: facts and
 normal rules, choice rules, integrity rules, and upper-bound cardinality
@@ -8,16 +8,11 @@ integrity rules.  Everything is fully ground.
 from __future__ import annotations
 
 import graphlib
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .errors import CapExceeded
 from .propagation import BodyId, NogoodStore
 from .text import ATOM_PARTS, GROUND, INT, NAME, Tokens
-
-BINOMIAL_CAP = 10 ** 6
 
 
 class Atom:
@@ -103,7 +98,11 @@ class IntegrityRule:
 
 @dataclass(frozen=True)
 class CardinalityRule:
-    """``:- bound {l1; ...; ln}``: fewer than ``bound`` may hold."""
+    """``:- bound {l1; ...; ln}``: fewer than ``bound`` may hold.
+
+    A bound above the literal count can never be reached, so such a rule
+    holds vacuously; ``make_cardinality`` drops it instead.
+    """
 
     bound: int
     literals: tuple[Lit, ...]
@@ -114,11 +113,6 @@ class CardinalityRule:
             raise ValueError("cardinality bound must be at least 1")
         if len(set(self.literals)) != len(self.literals):
             raise ValueError("duplicate literal in cardinality rule")
-        if self.bound > len(self.literals):
-            raise ValueError(
-                "vacuous cardinality rule (bound exceeds literal count); "
-                "build these through make_cardinality, which drops them"
-            )
 
 
 Rule = Union[NormalRule, ChoiceRule, IntegrityRule, CardinalityRule]
@@ -187,65 +181,20 @@ class GroundProgram:
 # -- cardinality normalization ----------------------------------------------
 
 
-def normalize_cardinality(program: GroundProgram, method: str = "native") -> GroundProgram:
-    """Prepare cardinality rules for completion under ``method``.
+def normalize_cardinality(program: GroundProgram) -> GroundProgram:
+    """Prepare cardinality rules for completion: return ``program`` as it is.
 
-    ``native`` returns the program as it is: completion hands each
-    cardinality rule to the store's counting propagator, the one path the
-    library ships.  ``counter`` expands every rule into the usual O(n*k)
-    counting ladder over fresh ``_cnt`` atoms; ``binomial`` posts one
-    integrity rule per k-subset (capped, since that count explodes).  The
-    two expansions are references that tests check native counting
-    against; solutions projected to the original atoms agree among the
-    three.
+    Completion hands each cardinality rule to the store's counting
+    propagator, so no rule needs rewriting.  The stage keeps its name in
+    the parse -> encode -> normalize -> complete chain: perfbench calls
+    it, and ``cspasp.encoder`` imports it only so that perfbench's traced
+    runs can rebind it there.  The clausal expansions that the tests
+    check native counting against live in ``tests/oracles.py``.
     """
-    if method == "native":
-        return program
-    if method not in ("counter", "binomial"):
-        raise ValueError(f"unknown normalization method: {method!r}")
-    out: list[Rule] = []
-    for ridx, rule in enumerate(program.rules):
-        if not isinstance(rule, CardinalityRule):
-            out.append(rule)
-            continue
-        if method == "binomial":
-            out.extend(_binomial_rules(rule))
-        else:
-            out.extend(_counter_rules(ridx, rule))
-    return GroundProgram(out)
+    return program
 
 
-def _binomial_rules(rule: CardinalityRule):
-    n, k = len(rule.literals), rule.bound
-    count = math.comb(n, k)
-    if count > BINOMIAL_CAP:
-        raise CapExceeded(
-            f"binomial normalization needs {count} rules (cap {BINOMIAL_CAP})"
-        )
-    return [IntegrityRule(subset) for subset in itertools.combinations(rule.literals, k)]
-
-
-def _counter_rules(ridx: int, rule: CardinalityRule):
-    """Counting ladder: _cnt(r,i,j) reads "at least j of literals i.. hold"."""
-    lits = rule.literals
-    n, k = len(lits), rule.bound
-
-    def cnt(i, j):
-        return Atom("_cnt", (ridx, i, j))
-
-    rules: list[Rule] = []
-    for i in range(1, n + 1):
-        rules.append(NormalRule(cnt(i, 1), (lits[i - 1],)))
-    for i in range(1, n):
-        for j in range(1, k + 1):
-            rules.append(NormalRule(cnt(i, j), (pos(cnt(i + 1, j)),)))
-        for j in range(1, k):
-            rules.append(NormalRule(cnt(i, j + 1), (lits[i - 1], pos(cnt(i + 1, j)))))
-    rules.append(IntegrityRule((pos(cnt(1, k)),)))
-    return rules
-
-
-# -- semantics ----------------------------------------------------------------
+# -- tightness ----------------------------------------------------------------
 
 
 def is_tight(program: GroundProgram) -> bool:
@@ -269,118 +218,6 @@ def is_tight(program: GroundProgram) -> bool:
     except graphlib.CycleError:
         return False
     return True
-
-
-def reduct(program: GroundProgram, true_atoms: set) -> GroundProgram:
-    """The reduct w.r.t. a candidate set of true atoms.
-
-    Rules whose negative body intersects the candidate are dropped; the
-    survivors keep only their positive body.  Choice and cardinality
-    rules must be expanded/normalized away first.
-    """
-    out: list[Rule] = []
-    for rule in program.rules:
-        if isinstance(rule, NormalRule):
-            if any(lit.atom in true_atoms for lit in rule.body if not lit.positive):
-                continue
-            out.append(NormalRule(rule.head, tuple(l for l in rule.body if l.positive)))
-        elif isinstance(rule, IntegrityRule):
-            if any(lit.atom in true_atoms for lit in rule.body if not lit.positive):
-                continue
-            out.append(IntegrityRule(tuple(l for l in rule.body if l.positive)))
-        else:
-            raise TypeError("reduct is defined on normal/integrity rules only")
-    return GroundProgram(out)
-
-
-def least_model(program: GroundProgram) -> set:
-    """Least model of a positive program (integrity rules are ignored)."""
-    rules = []
-    for r in program.rules:
-        if isinstance(r, NormalRule):
-            if any(not lit.positive for lit in r.body):
-                raise ValueError("least_model expects a positive program")
-            rules.append(r)
-    model: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if r.head not in model and all(lit.atom in model for lit in r.body):
-                model.add(r.head)
-                changed = True
-    return model
-
-
-def expand_choices(program: GroundProgram) -> GroundProgram:
-    """Rewrite choice rules using fresh complement atoms.
-
-    ``{h} :- B`` becomes ``h :- B, not _ch(r,i)`` plus ``_ch(r,i) :- not h``,
-    which is what gives a choice head its either-way stability.
-    """
-    out: list[Rule] = []
-    for ridx, rule in enumerate(program.rules):
-        if not isinstance(rule, ChoiceRule):
-            out.append(rule)
-            continue
-        for hidx, head in enumerate(rule.heads):
-            comp = Atom("_ch", (ridx, hidx))
-            out.append(NormalRule(head, rule.body + (neg(comp),)))
-            out.append(NormalRule(comp, (neg(head),)))
-    return GroundProgram(out)
-
-
-def is_answer_set(program: GroundProgram, candidate) -> bool:
-    """Reduct-and-least-model test.
-
-    ``candidate`` lists the source atoms only; the complement atoms
-    introduced for choice rules are filled in automatically.  A
-    cardinality rule, being a constraint, is checked by counting its
-    literals that hold in the candidate and is then left out of the
-    reduct.
-    """
-    X = set(candidate)
-    rules = []
-    for rule in program.rules:
-        if isinstance(rule, CardinalityRule):
-            held = sum((lit.atom in X) == lit.positive for lit in rule.literals)
-            if held >= rule.bound:
-                return False
-        else:
-            rules.append(rule)
-    program = GroundProgram(rules)
-    expanded = expand_choices(program)
-    for ridx, rule in enumerate(program.rules):
-        if isinstance(rule, ChoiceRule):
-            for hidx, head in enumerate(rule.heads):
-                if head not in X:
-                    X.add(Atom("_ch", (ridx, hidx)))
-    red = reduct(expanded, X)
-    for rule in red.rules:
-        if isinstance(rule, IntegrityRule) and all(l.atom in X for l in rule.body):
-            return False
-    return least_model(red) == X
-
-
-def brute_force_answer_sets(program: GroundProgram, guess_atoms=None, cap: int = 1 << 22):
-    """All answer sets by exhaustive enumeration; oracle use only.
-
-    Enumerates subsets of ``guess_atoms`` (default: every atom of the
-    program) and keeps the ones passing is_answer_set.  Atoms outside
-    the guess set are treated as false, so only restrict the guesses
-    when the rest genuinely cannot occur in an answer set.
-    """
-    if guess_atoms is None:
-        guess_atoms = program.atoms()
-    guess_atoms = tuple(guess_atoms)
-    if 2 ** len(guess_atoms) > cap:
-        raise CapExceeded(f"2^{len(guess_atoms)} candidates exceed the cap")
-    found = []
-    for bits in range(2 ** len(guess_atoms)):
-        X = frozenset(a for i, a in enumerate(guess_atoms) if bits >> i & 1)
-        if is_answer_set(program, X):
-            found.append(X)
-    return found
 
 
 # -- completion nogoods --------------------------------------------------------

@@ -394,54 +394,6 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     return None
 
 
-def propagate_naive(nogoods, assignment) -> tuple[list[SignedLiteral], str]:
-    """Reference fixpoint computation: repeated full scans, no watches.
-
-    ``nogoods`` is a sequence of signed-literal collections, ``assignment``
-    the initial literals.  Each round first checks for a violated nogood,
-    then extends the assignment from the first unit nogood in sequence
-    order, exactly as the textbook loop does.  Returns the extended
-    assignment in derivation order plus ``"conflict"`` or ``"success"``.
-    Kept deliberately naive as an independent oracle for the watched
-    engine.
-    """
-    state: dict[Any, bool] = {}
-    order: list[SignedLiteral] = []
-    for lit in assignment:
-        prev = state.get(lit.entity)
-        if prev is None:
-            state[lit.entity] = lit.truth
-            order.append(lit)
-        elif prev != lit.truth:
-            raise ValueError("initial assignment contains a complementary pair")
-    nogood_list = [tuple(ng) for ng in nogoods]
-
-    while True:
-        for ng in nogood_list:
-            if all(state.get(l.entity) == l.truth for l in ng):
-                return order, "conflict"
-        derived = None
-        for ng in nogood_list:
-            free = None
-            for lit in ng:
-                t = state.get(lit.entity)
-                if t is None:
-                    if free is not None:
-                        free = None
-                        break
-                    free = lit
-                elif t != lit.truth:
-                    free = None
-                    break
-            if free is not None:
-                derived = free.complement
-                break
-        if derived is None:
-            return order, "success"
-        state[derived.entity] = derived.truth
-        order.append(derived)
-
-
 def dump_nogoods(store: NogoodStore) -> str:
     """Text dump: one nogood per line, literals in code order, then one
     ``:- k {l1; ...; ln}`` line per cardinality constraint."""

@@ -8,7 +8,7 @@ The search itself is fixed: VSIDS-style entity activities with decay
 0.95 (MiniSat, Eén & Sörensson, SAT 2003), phase saving from a false
 first phase, Luby restarts in units of 64 conflicts, and a learned store
 capped at ten times the static one.  ``SolverConfig`` holds only the
-budgets (conflicts, wall time) and a test hook.
+budgets (conflicts, wall time).
 
 Everything here is deterministic: ties break on entity index, restarts
 follow the Luby sequence, and no randomness is involved, so a freshly
@@ -37,13 +37,10 @@ LEARNED_CAP_FACTOR = 10.0  # learned limit as a multiple of static size
 
 @dataclass
 class SolverConfig:
-    """Search budgets (None means unbounded) and a testing hook."""
+    """Search budgets; None means unbounded."""
 
     max_conflicts: int | None = None
     timeout_s: float | None = None
-    # testing hook: f(store, trail, conflict_id, codes, level); the conflict's
-    # literals are store.lits_of(conflict_id, trail)
-    learn_hook: object = None
 
 
 @dataclass
@@ -253,8 +250,6 @@ class _Search:
                 if trail.level == 0:
                     return UNSAT
                 learned, jump, seen = analyze(store, trail, conflict)
-                if self.cfg.learn_hook is not None:
-                    self.cfg.learn_hook(store, trail, conflict, learned, jump)
                 for idx in seen:
                     self.bump_entity(idx)
                 if conflict >= 0 and store.nogoods[conflict].learned:

@@ -27,7 +27,6 @@ from cspasp.benchmarks import (
 from cspasp.csp import (
     check_solution,
     consistency_oracle,
-    enumerate_solutions,
     parse_instance,
 )
 from cspasp.encoder import (
@@ -44,10 +43,9 @@ from cspasp.program import (
     GroundProgram,
     Lit,
     completion_nogoods,
-    is_answer_set,
     normalize_cardinality,
 )
-from cspasp.propagation import NogoodStore, Trail, propagate_naive, unit_propagate
+from cspasp.propagation import NogoodStore, Trail, unit_propagate
 from cspasp.solver import (
     SAT,
     UNSAT,
@@ -57,6 +55,7 @@ from cspasp.solver import (
 )
 
 from .helpers import sl, true_atoms
+from .oracles import enumerate_solutions, expand_cardinality, is_answer_set, propagate_naive
 
 pytestmark = pytest.mark.acceptance
 
@@ -76,7 +75,8 @@ N_STATES = 50
 
 def solve_encoded(inst, kind_name, method="counter", **cfg_kwargs):
     enc = encode(inst, EncodingKind(kind_name))
-    store = completion_nogoods(normalize_cardinality(enc.program, method))
+    program = enc.program if method == "native" else expand_cardinality(enc.program, method)
+    store = completion_nogoods(program)
     return enc, solve(store, SolverConfig(**cfg_kwargs) if cfg_kwargs else None)
 
 
@@ -266,7 +266,7 @@ def test_07_translation_sizes_grow_at_their_expected_rates():
 
 def test_08_counting_and_subset_cardinality_expansions_agree():
     def projected_sets(program, base, method):
-        norm = normalize_cardinality(program, method)
+        norm = expand_cardinality(program, method)
         models, _, status = enumerate_models(completion_nogoods(norm))
         assert status == UNSAT
         return {frozenset(true_atoms(m) & base) for m in models}

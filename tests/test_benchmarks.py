@@ -23,12 +23,13 @@ from cspasp.csp import (
     PERMUTATION,
     TABLE,
     check_solution,
-    enumerate_solutions,
     format_instance,
 )
 from cspasp.encoder import EncodingKind, EncodingPropagator, encode
 from cspasp.program import completion_nogoods
 from cspasp.solver import SAT, UNSAT, solve
+
+from .oracles import enumerate_solutions
 
 
 def solve_instance(inst, kind="support"):

@@ -11,6 +11,9 @@ import pytest
 
 import cspasp
 from cspasp.cli import main
+from cspasp.program import parse_ground
+
+from .oracles import brute_force_answer_sets
 
 HALL = "var v1 2 3\nvar v2 { 1 2 4 }\nvar v3 2 3\nvar v4 1 4\nalldifferent v1 v2 v3 v4\n"
 TINY = "var x 1 2\nvar y 1 2\nalldifferent x y\n"
@@ -139,6 +142,24 @@ def test_solve_reads_raw_ground_programs(capsys, tmp_path):
     assert out in ("SAT\na\n", "SAT\nb\n")  # exactly one atom survives
 
 
+def test_solve_accepts_a_cardinality_bound_above_its_literal_count(capsys, monkeypatch):
+    # ":- 3 {a; b}" can never fire, so every subset of {a, b} is a model
+    text = "{a; b}.\n:- 3 {a; b}.\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "solve", "--enumerate", "0", "-")
+    assert (code, err) == (10, "")
+    *listed, total = out.splitlines()
+    assert total == "models = 4"
+    models = []
+    for line in listed:
+        if line.startswith("MODEL "):
+            models.append(set())
+        else:
+            models[-1].add(line)
+    want = brute_force_answer_sets(parse_ground(text))
+    assert sorted(map(sorted, models)) == sorted(sorted(map(str, m)) for m in want)
+
+
 def x_header(capsys, tmp_path, encoding):
     """The ``encode -e <encoding>`` header of ``var x 1 2``."""
     path = write(tmp_path, "x.csp", "var x 1 2\n")
@@ -236,6 +257,15 @@ def test_solve_timeout_gives_unknown(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
     code, out, _ = run(capsys, "solve", "--timeout", "0", "-")
     assert (code, out) == (2, "UNKNOWN\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+def test_timeout_must_be_at_least_zero(capsys, tmp_path, command, value):
+    args = [write(tmp_path, "t.csp", TINY)] if command == "solve" else ["--spec", "php:n=3"]
+    code, out, err = run(capsys, command, "--timeout", value, *args)
+    shown = {"nan": "nan", "-1": "-1.0", "-0.5": "-0.5"}[value]
+    assert (code, out, err) == (1, "", f"cspasp: error: --timeout must be at least 0, not {shown}\n")
 
 
 def test_solve_emit_nogoods(capsys, tmp_path):
@@ -518,6 +548,13 @@ def test_bench_rejects_unknown_family_or_param(capsys):
     assert code == 1 and "sudoku" in err
     code, _, err = run(capsys, "bench", "--spec", "php:m=4")
     assert code == 1
+    # a misspelled parameter is named, not run with and echoed back
+    code, out, err = run(capsys, "bench", "--spec", "qcp:order=5,fill=30,seed=1,permutaton=true")
+    assert (code, out) == (1, "")
+    assert err == (
+        "cspasp: error: benchmark family 'qcp' takes no parameter 'permutaton' "
+        "(it takes order, fill, seed, permutation)\n"
+    )
 
 
 def test_bench_hall_limit_wider_than_an_instance_keeps_every_row(capsys):

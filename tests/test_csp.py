@@ -19,11 +19,12 @@ from cspasp.csp import (
     binary_decomposition,
     check_solution,
     consistency_oracle,
-    enumerate_solutions,
     format_instance,
     parse_instance,
     validate_state,
 )
+
+from .oracles import enumerate_solutions
 
 HALL_TEXT = """\
 var v1 2 3

@@ -16,7 +16,6 @@ from cspasp.csp import (
     TABLE,
     VariableDecl,
     consistency_oracle,
-    enumerate_solutions,
     parse_instance,
 )
 from cspasp.encoder import (
@@ -38,13 +37,13 @@ from cspasp.program import (
     completion_nogoods,
     emit_ground,
     is_tight,
-    normalize_cardinality,
     pos,
 )
-from cspasp.propagation import BodyId, SignedLiteral, propagate_naive
+from cspasp.propagation import BodyId, SignedLiteral
 from cspasp.solver import enumerate_models
 
 from .helpers import check_trail
+from .oracles import enumerate_solutions, expand_cardinality, propagate_naive
 
 DATA = Path(__file__).parent / "data"
 
@@ -323,7 +322,7 @@ def test_reused_propagator_matches_a_fresh_one_per_state(kind_name):
 def naive_pruning(enc, state):
     """pruned_domains of propagate_naive over a freshly completed store,
     its cardinality rules expanded by the counter ladder."""
-    store = completion_nogoods(normalize_cardinality(enc.program, "counter"))
+    store = completion_nogoods(expand_cardinality(enc.program, "counter"))
     nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
     derived, status = propagate_naive(nogoods, seed_assignment(enc, state))
     return None if status == "conflict" else pruned_domains(enc, derived)
@@ -350,7 +349,7 @@ def test_propagator_matches_naive_propagation(kind_name, monkeypatch):
         enc = encode(inst, EncodingKind(kind_name))
         native = EncodingPropagator(enc)
         counter = EncodingPropagator(
-            dataclasses.replace(enc, program=normalize_cardinality(enc.program, "counter"))
+            dataclasses.replace(enc, program=expand_cardinality(enc.program, "counter"))
         )
         counted += bool(native.store.cardinalities)
         for _ in range(5):

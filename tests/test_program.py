@@ -17,20 +17,23 @@ from cspasp.program import (
     IntegrityRule,
     Lit,
     NormalRule,
-    brute_force_answer_sets,
     completion_nogoods,
     emit_ground,
-    is_answer_set,
     is_tight,
-    least_model,
     make_cardinality,
     normalize_cardinality,
     parse_ground,
-    reduct,
 )
 from cspasp.propagation import BodyId, SignedLiteral
 from cspasp.solver import UNSAT, solve
 from .helpers import random_tight_program, store_answer_sets
+from .oracles import (
+    brute_force_answer_sets,
+    expand_cardinality,
+    is_answer_set,
+    least_model,
+    reduct,
+)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -59,8 +62,12 @@ def test_choice_rule_validation():
 def test_cardinality_rule_validation():
     with pytest.raises(ValueError):
         CardinalityRule(0, lits((a, True)))
-    with pytest.raises(ValueError):
-        CardinalityRule(3, lits((a, True), (b, True)))
+    # a bound above the literal count is never reached: the rule is
+    # valid, completion installs nothing for it, and make_cardinality drops it
+    vacuous = CardinalityRule(3, lits((a, True), (b, True)))
+    store = completion_nogoods(GroundProgram((vacuous,)))
+    assert store.cardinalities == []
+    assert store.n_static == 2  # {T a} and {T b}: no rule derives a or b
     assert make_cardinality(3, lits((a, True), (b, True))) is None
     rule = make_cardinality(2, lits((a, True), (b, True)))
     assert rule.bound == 2
@@ -91,7 +98,7 @@ def test_normalization_preserves_cardinality_semantics(method):
                 program = GroundProgram(
                     (ChoiceRule(tuple(base)), CardinalityRule(k, body))
                 )
-                norm = normalize_cardinality(program, method)
+                norm = expand_cardinality(program, method)
                 got = store_answer_sets(norm)
                 projected = {frozenset(x & set(base)) for x in got}
                 assert len(got) == len(projected)  # aux atoms are determined
@@ -102,7 +109,7 @@ def test_counter_handles_lower_bound_one():
     program = GroundProgram(
         (ChoiceRule((a, b)), CardinalityRule(1, lits((a, True), (b, True))))
     )
-    norm = normalize_cardinality(program, "counter")
+    norm = expand_cardinality(program, "counter")
     assert {frozenset(x & {a, b}) for x in brute_force_answer_sets(norm)} == {
         frozenset()
     }
@@ -110,7 +117,8 @@ def test_counter_handles_lower_bound_one():
 
 def test_normalization_leaves_plain_programs_alone():
     program = GroundProgram((NormalRule(a, ()), IntegrityRule(lits((b, True)))))
-    assert normalize_cardinality(program, "counter") == program
+    assert expand_cardinality(program, "counter") == program
+    assert normalize_cardinality(program) is program
 
 
 def test_binomial_cap():
@@ -118,13 +126,13 @@ def test_binomial_cap():
     body = tuple(Lit(at, True) for at in atoms)
     program = GroundProgram((ChoiceRule(tuple(atoms)), CardinalityRule(20, body)))
     with pytest.raises(CapExceeded):
-        normalize_cardinality(program, "binomial")
+        expand_cardinality(program, "binomial")
 
 
 def test_normalization_rejects_unknown_method():
     program = GroundProgram((ChoiceRule((a,)),))
     with pytest.raises(ValueError):
-        normalize_cardinality(program, "magic")
+        expand_cardinality(program, "magic")
 
 
 # -- tightness, reduct, answer sets -------------------------------------------------

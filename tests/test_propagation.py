@@ -9,11 +9,11 @@ from cspasp.propagation import (
     SignedLiteral,
     Trail,
     dump_nogoods,
-    propagate_naive,
     unit_propagate,
 )
 
 from .helpers import sl
+from .oracles import propagate_naive
 
 
 def build_store(nogoods):

@@ -13,9 +13,7 @@ from cspasp.program import (
     IntegrityRule,
     Lit,
     NormalRule,
-    brute_force_answer_sets,
     completion_nogoods,
-    normalize_cardinality,
 )
 from cspasp import solver as solver_module
 from cspasp.propagation import NogoodStore, Trail, unit_propagate
@@ -39,6 +37,7 @@ from .helpers import (
     sl,
     true_atoms,
 )
+from .oracles import brute_force_answer_sets, expand_cardinality
 
 a, b = Atom("a"), Atom("b")
 
@@ -51,6 +50,24 @@ def php_store(n, kind="support", hall_limit=None):
 def qcp_store(order, fill, seed):
     enc = encode(gen_qcp(order, fill, seed), EncodingKind("support"))
     return completion_nogoods(enc.program)
+
+
+def on_learn(monkeypatch, hook):
+    """Call hook(store, trail, conflict_id, learned, jump) after each
+    conflict analysis of the search, before it backjumps.
+
+    The search calls ``analyze`` as a module global, so wrapping it there
+    reaches every conflict; the conflict's literals are
+    store.lits_of(conflict_id, trail).
+    """
+    analyze = solver_module.analyze
+
+    def wrapped(store, trail, conflict_id):
+        learned, jump, seen = analyze(store, trail, conflict_id)
+        hook(store, trail, conflict_id, learned, jump)
+        return learned, jump, seen
+
+    monkeypatch.setattr(solver_module, "analyze", wrapped)
 
 
 # -- restart schedule ---------------------------------------------------------------
@@ -218,7 +235,7 @@ def test_hall_cap_restores_search_on_pigeonhole():
 # -- conflict analysis ---------------------------------------------------------------
 
 
-def test_learned_nogoods_are_asserting():
+def test_learned_nogoods_are_asserting(monkeypatch):
     """Each learned nogood is violated at conflict time, with a single
     literal from the conflict level first, and becomes unit after the
     reported backjump."""
@@ -240,7 +257,8 @@ def test_learned_nogoods_are_asserting():
         assert jump == (max(levels[1:]) if levels[1:] else 0)
         records.append(len(learned))
 
-    res = solve(php_store(5), SolverConfig(learn_hook=hook))
+    on_learn(monkeypatch, hook)
+    res = solve(php_store(5))
     assert res.status == UNSAT
     assert records, "expected at least one learned nogood"
 
@@ -293,7 +311,7 @@ def test_activities_stay_finite_past_the_overflow_point():
 # -- native cardinality constraints -------------------------------------------------
 
 
-def test_native_cardinality_matches_brute_force_on_random_programs():
+def test_native_cardinality_matches_brute_force_on_random_programs(monkeypatch):
     """Native counting against the oracle and the counter ladder, with
     every reason on the trail checked at each conflict and after each
     propagation from random decisions."""
@@ -319,10 +337,12 @@ def test_native_cardinality_matches_brute_force_on_random_programs():
             shapes["k=n"] += card.bound == len(lits)
         want = set(brute_force_answer_sets(program))
         native = completion_nogoods(program)
-        models, _, status = enumerate_models(native, SolverConfig(learn_hook=check_conflict))
+        with monkeypatch.context() as patch:
+            on_learn(patch, check_conflict)
+            models, _, status = enumerate_models(native)
         assert status == UNSAT
         assert {true_atoms(m) for m in models} == want, trial
-        counter = completion_nogoods(normalize_cardinality(program, "counter"))
+        counter = completion_nogoods(expand_cardinality(program, "counter"))
         models, _, _ = enumerate_models(counter)
         base = set(program.atoms())
         assert {true_atoms(m) & base for m in models} == want, trial
@@ -342,8 +362,9 @@ def test_native_cardinality_matches_brute_force_on_random_programs():
                     break
     assert min(shapes.values()) >= 10, shapes
     # pigeonhole search resolves through at-most-one reasons at every conflict
+    on_learn(monkeypatch, check_conflict)
     for kind in ("direct", "support"):
-        res = solve(php_store(5, kind), SolverConfig(learn_hook=check_conflict))
+        res = solve(php_store(5, kind))
         assert res.status == UNSAT
     assert conflicts >= 10
 
