@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .csp import (
@@ -42,8 +43,8 @@ def gen_php(n: int) -> CspInstance:
 # -- quasigroup completion --------------------------------------------------------
 
 
-def gen_qcp(order: int, fill_percent: int, seed: int, permutation: bool = False) -> CspInstance:
-    """Latin-square completion with a fraction of cells pre-assigned.
+def gen_qcp(order: int, fill: int, seed: int, permutation: bool = False) -> CspInstance:
+    """Latin-square completion with ``fill`` percent of cells pre-assigned.
 
     A hidden Latin square is built from the cyclic square by seeded row,
     column, and symbol shuffles; pre-assignments are sampled from it, so
@@ -51,10 +52,10 @@ def gen_qcp(order: int, fill_percent: int, seed: int, permutation: bool = False)
     """
     if order < 1:
         raise ValueError("order must be positive")
-    if not 0 <= fill_percent <= 100:
-        raise ValueError("fill_percent must be within 0..100")
+    if not 0 <= fill <= 100:
+        raise ValueError(f"fill must be within 0..100, not {fill}")
     n = order
-    rng = random.Random(f"qcp:{order}:{fill_percent}:{seed}")
+    rng = random.Random(f"qcp:{order}:{fill}:{seed}")
     rows = rng.sample(range(n), n)
     cols = rng.sample(range(n), n)
     syms = rng.sample(range(n), n)
@@ -73,7 +74,7 @@ def gen_qcp(order: int, fill_percent: int, seed: int, permutation: bool = False)
     for j in range(1, n + 1):
         constraints.append(Constraint(kind, tuple(f"x_{i}_{j}" for i in range(1, n + 1))))
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    k = round(n * n * fill_percent / 100)
+    k = round(n * n * fill / 100)
     assignments = [
         (f"x_{i}_{j}", square[i - 1][j - 1]) for i, j in sorted(rng.sample(cells, k))
     ]
@@ -330,49 +331,104 @@ def random_state(rng: random.Random, instance: CspInstance, intervals: bool = Fa
 # -- suite runner -------------------------------------------------------------------
 
 
-# the parameters each benchmark family takes, as ``cspasp gen`` names them
-FAMILY_PARAMS = {
-    "php": ("n",),
-    "qcp": ("order", "fill", "seed", "permutation"),
-    "qep": ("axiom", "order"),
-    "ggp": ("n",),
+@dataclass(frozen=True)
+class Param:
+    """A parameter of a benchmark family; ``default`` None means required."""
+
+    type: type  # int, bool or str
+    default: object = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Family:
+    """A benchmark family: its generator, called with its parameters by name."""
+
+    generate: Callable[..., CspInstance]
+    help: str
+    params: dict[str, Param]
+
+
+# ``cspasp gen`` flags and ``bench --spec`` fields are both read off this
+FAMILIES = {
+    "php": Family(gen_php, "pigeonhole", {"n": Param(int)}),
+    "qcp": Family(gen_qcp, "quasigroup completion", {
+        "order": Param(int),
+        "fill": Param(int, help="percent of cells fixed"),
+        "seed": Param(int, 0),
+        "permutation": Param(bool, False, "post rows/columns as permutation constraints"),
+    }),
+    "qep": Family(gen_qep, "quasigroup existence", {
+        "axiom": Param(str, help="QG3..QG7"),
+        "order": Param(int),
+    }),
+    "ggp": Family(gen_ggp_double_wheel, "graceful double wheel", {"n": Param(int)}),
 }
+
+_TYPE_WORDS = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _read(kind: type, text: str):
+    """``text`` as a value of type ``kind``, or the text itself if it is none."""
+    try:
+        return {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        return text
 
 
 @dataclass
 class BenchSpec:
     """One benchmark instance request: family name plus its parameters.
 
-    A family or parameter name that ``FAMILY_PARAMS`` does not list is
-    rejected on construction, so a suite stops before its first run.
+    The family and each parameter's name and type are checked against
+    ``FAMILIES`` on construction, so a suite stops before its first run.
+    Parameters left out take their defaults.
     """
 
     family: str
     params: dict
 
     def __post_init__(self):
-        takes = FAMILY_PARAMS.get(self.family)
-        if takes is None:
+        family = FAMILIES.get(self.family)
+        if family is None:
             raise ValueError(f"unknown benchmark family {self.family!r}")
-        unknown = [key for key in self.params if key not in takes]
+        unknown = [key for key in self.params if key not in family.params]
         if unknown:
             raise ValueError(
                 f"benchmark family {self.family!r} takes no parameter "
-                f"{', '.join(map(repr, unknown))} (it takes {', '.join(takes)})"
+                f"{', '.join(map(repr, unknown))} (it takes {', '.join(family.params)})"
             )
+        for name, param in family.params.items():
+            if name not in self.params:
+                if param.default is None:
+                    raise ValueError(f"benchmark family {self.family!r} needs parameter {name!r}")
+            elif type(self.params[name]) is not param.type:
+                raise ValueError(
+                    f"benchmark parameter {name!r} takes {_TYPE_WORDS[param.type]}, "
+                    f"not {self.params[name]!r}"
+                )
+
+    @classmethod
+    def parse(cls, text: str) -> BenchSpec:
+        """Read ``FAMILY:K=V,...``, each value as its parameter's type."""
+        family, _, rest = text.partition(":")
+        takes = FAMILIES[family].params if family in FAMILIES else {}
+        params = {}
+        for field in rest.split(",") if rest else ():
+            key, eq, value = field.partition("=")
+            if not eq or not key:
+                raise ValueError(f"bad spec parameter {field!r} in {text!r}")
+            params[key] = _read(takes[key].type, value) if key in takes else value
+        return cls(family, params)
 
     def label(self) -> str:
         return ",".join(f"{k}={v}" for k, v in self.params.items())
 
     def build(self) -> CspInstance:
-        p = self.params
-        if self.family == "php":
-            return gen_php(p["n"])
-        if self.family == "qcp":
-            return gen_qcp(p["order"], p["fill"], p["seed"], p.get("permutation", False))
-        if self.family == "qep":
-            return gen_qep(p["axiom"], p["order"])
-        return gen_ggp_double_wheel(p["n"])
+        family = FAMILIES[self.family]
+        return family.generate(
+            **{name: self.params.get(name, param.default) for name, param in family.params.items()}
+        )
 
 
 @dataclass

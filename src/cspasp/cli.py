@@ -13,6 +13,7 @@ import random
 import sys
 
 from .benchmarks import (
+    FAMILIES,
     BenchSpec,
     random_instance,
     random_state,
@@ -21,6 +22,7 @@ from .benchmarks import (
 from .csp import LEVELS, consistency_oracle, format_instance, parse_instance
 from .encoder import (
     ENCODING_NAMES,
+    TRANSLATIONS,
     Encoding,
     EncodingKind,
     EncodingMap,
@@ -32,9 +34,6 @@ from .errors import CapExceeded
 from .program import completion_nogoods, emit_ground, parse_ground
 from .propagation import dump_nogoods
 from .solver import SAT, UNSAT
-
-# the consistency level each encoding's propagation is meant to reach
-DEFAULT_LEVEL = {"direct": "ac", "support": "ac", "range": "range", "bound": "bound"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +70,7 @@ def _require_at_least(flag: str, value, least) -> None:
 def _kind(args) -> EncodingKind:
     name = args.encoding or "support"
     hall = getattr(args, "hall_limit", None)
-    if hall is not None and name not in ("range", "bound"):
+    if hall is not None and not TRANSLATIONS[name].hall:
         raise ValueError(f"--hall-limit does not apply to the {name} encoding")
     return EncodingKind(name, hall)
 
@@ -187,7 +186,7 @@ def _cmd_check(args) -> int:
                                ("--max-dom", args.max_dom, 1), ("--trials", args.trials, 0)):
         _require_at_least(flag, value, least)
     kind = _kind(args)
-    level = args.level or DEFAULT_LEVEL[kind.name]
+    level = args.level or TRANSLATIONS[kind.name].level
     hole_free = kind.name == "bound"
     rng = random.Random(f"check:{args.seed}")
     agreed = skipped = 0
@@ -237,11 +236,7 @@ def _agrees(encoding: str, instance, pruned, oracle) -> bool:
 
 
 def _cmd_gen(args) -> int:
-    # each family's flags are named after its BenchSpec parameters
-    params = {
-        key: value for key, value in vars(args).items()
-        if key not in ("command", "family", "func", "output")
-    }
+    params = {name: getattr(args, name) for name in FAMILIES[args.family].params}
     instance = BenchSpec(args.family, params).build()
     _write_text(args.output, format_instance(instance))
     return 0
@@ -250,40 +245,12 @@ def _cmd_gen(args) -> int:
 # -- bench ------------------------------------------------------------------------
 
 
-def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def _parse_spec(text: str) -> BenchSpec:
-    family, _, rest = text.partition(":")
-    params = {}
-    if rest:
-        for field in rest.split(","):
-            key, eq, value = field.partition("=")
-            if not eq or not key:
-                raise ValueError(f"bad spec parameter {field!r} in {text!r}")
-            params[key] = _coerce(value)
-    return BenchSpec(family, params)
-
-
 def _cmd_bench(args) -> int:
     _require_at_least("--timeout", args.timeout, 0)
-    specs = [_parse_spec(s) for s in args.spec]
+    specs = [BenchSpec.parse(s) for s in args.spec]
     names = args.encoding or list(ENCODING_NAMES)
-    kinds = [
-        EncodingKind(n, args.hall_limit if n in ("range", "bound") else None)
-        for n in names
-    ]
-    try:
-        report = run_suite(specs, kinds, timeout_s=args.timeout)
-    except KeyError as exc:
-        raise ValueError(f"benchmark spec is missing parameter {exc}") from None
+    kinds = [EncodingKind(n, args.hall_limit if TRANSLATIONS[n].hall else None) for n in names]
+    report = run_suite(specs, kinds, timeout_s=args.timeout)
     _write_text(args.output, report.to_text())
     if args.csv:
         _write_text(args.csv, report.to_csv())
@@ -344,23 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("gen", help="emit a benchmark instance")
     families = p.add_subparsers(dest="family", required=True)
-    f = families.add_parser("php", help="pigeonhole")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("-o", "--output", default=None)
-    f = families.add_parser("qcp", help="quasigroup completion")
-    f.add_argument("--order", type=int, required=True)
-    f.add_argument("--fill", type=int, required=True, help="percent of cells fixed")
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--permutation", action="store_true",
-                   help="post rows/columns as permutation constraints")
-    f.add_argument("-o", "--output", default=None)
-    f = families.add_parser("qep", help="quasigroup existence")
-    f.add_argument("--axiom", required=True, help="QG3..QG7")
-    f.add_argument("--order", type=int, required=True)
-    f.add_argument("-o", "--output", default=None)
-    f = families.add_parser("ggp", help="graceful double wheel")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("-o", "--output", default=None)
+    for name, family in FAMILIES.items():
+        f = families.add_parser(name, help=family.help)
+        for key, param in family.params.items():
+            if param.type is bool:
+                f.add_argument(f"--{key}", action="store_true", help=param.help)
+            else:
+                f.add_argument(f"--{key}", type=param.type, required=param.default is None,
+                               default=param.default, help=param.help)
+        f.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = commands.add_parser("bench", help="run a benchmark suite")

@@ -8,6 +8,8 @@ bound    -- atoms b(v,i) meaning v <= i; propagation works on interval
 range    -- atoms r(v,l,u) meaning v in [l,u] for every subrange, the
             most propagation-complete (and largest) of the four.
 
+Each is one row of ``TRANSLATIONS``, and ``encode`` is one loop over a row.
+
 All atom arguments live in an internal window 1..d shared by every
 variable (d spans the union of the initial domains); EncodingMap is the
 only place that knows about the shift back to original values.
@@ -17,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 from .csp import (
     ALLDIFFERENT,
-    BOUND_CONSISTENCY,
     PERMUTATION,
-    TABLE,
     CspInstance,
     DomainState,
     check_solution,
@@ -37,7 +38,6 @@ from .program import (
     ChoiceRule,
     GroundProgram,
     IntegrityRule,
-    Lit,
     NormalRule,
     completion_nogoods,
     make_cardinality,
@@ -47,8 +47,6 @@ from .program import (
 )
 from .propagation import BodyId, SignedLiteral, Trail, unit_propagate
 from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models
-
-ENCODING_NAMES = ("direct", "support", "bound", "range")
 
 TABLE_COMPLEMENT_CAP = 10 ** 6
 BOX_SLAB_CAP = 10 ** 6
@@ -69,10 +67,10 @@ class EncodingKind:
     hall_limit: int | None = None
 
     def __post_init__(self):
-        if self.name not in ENCODING_NAMES:
+        if self.name not in TRANSLATIONS:
             raise ValueError(f"unknown encoding: {self.name!r}")
         if self.hall_limit is not None:
-            if self.name not in ("bound", "range"):
+            if not TRANSLATIONS[self.name].hall:
                 raise ValueError("hall_limit only applies to the bound/range encodings")
             if self.hall_limit < 1:
                 raise ValueError("hall_limit must be at least 1")
@@ -125,11 +123,7 @@ class Encoding:
     def value_atom(self, name: str, i: int) -> Atom:
         """The atom for internal value i of a variable: e(v,i) and r(v,i,i)
         say v = i, b(v,i) says v <= i."""
-        if self.kind.name == "bound":
-            return self.emap.b_atom(name, i)
-        if self.kind.name == "range":
-            return self.emap.r_atom(name, i, i)
-        return self.emap.e_atom(name, i)
+        return TRANSLATIONS[self.kind.name].value(self.emap, name, i)
 
     @cached_property
     def value_atoms(self) -> dict[Atom, tuple[str, int]]:
@@ -142,52 +136,58 @@ class Encoding:
         }
 
 
+@dataclass(frozen=True)
+class Translation:
+    """One encoding as data: its value atom, the rules it posts for each
+    part of an instance, and what unit propagation reaches on them."""
+
+    value: Callable  # (emap, name, i) -> the atom for value i of a variable
+    domain: Callable  # (emap, name) -> the rules for one variable's domain
+    count: Callable  # (emap, c, hall_limit) -> rules for all-different/permutation
+    table: Callable  # (emap, c, found) -> rules for a table; found shares boxes
+    level: str  # the consistency level `cspasp check` holds propagation to
+    hall: bool = False  # whether a Hall limit applies
+    close: Callable | None = None  # (emap, rules) -> rules posted after the rest
+
+
 def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
     """Translate an instance; raises CapExceeded on oversized tables."""
     emap = EncodingMap(instance)
+    row = TRANSLATIONS[kind.name]
     rules: list = []
-    if kind.name in ("direct", "support"):
-        _encode_value_lane(instance, emap, kind, rules)
-    elif kind.name == "range":
-        _encode_range_lane(instance, emap, kind, rules)
-    else:
-        _encode_bound_lane(instance, emap, kind, rules)
+    for decl in instance.variables:
+        rules.extend(row.domain(emap, decl.name))
+    found: dict = {}
+    for c in instance.constraints:
+        if c.kind in (ALLDIFFERENT, PERMUTATION):
+            rules.extend(row.count(emap, c, kind.hall_limit))
+        else:
+            rules.extend(row.table(emap, c, found))
+    if row.close is not None:
+        rules.extend(row.close(emap, rules))
     return Encoding(instance, kind, emap, GroundProgram(rules))
 
 
 # -- direct / support ----------------------------------------------------------
 
 
-def _encode_value_lane(instance, emap, kind, rules):
-    support = kind.name == "support"
-    for decl in instance.variables:
-        name = decl.name
-        vals = emap.values[name]
-        atoms = [emap.e_atom(name, i) for i in vals]
-        rules.append(ChoiceRule(tuple(atoms)))
-        rules.append(IntegrityRule(tuple(neg(a) for a in atoms)))
-        card = make_cardinality(2, tuple(pos(a) for a in atoms))
-        if card is not None:
-            rules.append(card)
-    for c in instance.constraints:
-        if c.kind in (ALLDIFFERENT, PERMUTATION):
-            if support:
-                _support_distinct(instance, emap, c, rules)
-            else:
-                _direct_distinct(emap, c, rules)
-        else:
-            _value_lane_table(instance, emap, c, rules, support)
+def _value_domain(emap, name):
+    atoms = [emap.e_atom(name, i) for i in emap.values[name]]
+    yield ChoiceRule(tuple(atoms))
+    yield IntegrityRule(tuple(neg(a) for a in atoms))
+    card = make_cardinality(2, tuple(pos(a) for a in atoms))
+    if card is not None:
+        yield card
 
 
-def _direct_distinct(emap, c, rules):
+def _direct_distinct(emap, c, hall_limit):
     """Pairwise conflict rules over shared values."""
     for a, b in itertools.combinations(c.scope, 2):
-        shared = sorted(set(emap.values[a]) & set(emap.values[b]))
-        for i in shared:
-            rules.append(IntegrityRule((pos(emap.e_atom(a, i)), pos(emap.e_atom(b, i)))))
+        for i in sorted(set(emap.values[a]) & set(emap.values[b])):
+            yield IntegrityRule((pos(emap.e_atom(a, i)), pos(emap.e_atom(b, i))))
 
 
-def _support_distinct(instance, emap, c, rules):
+def _support_distinct(emap, c, hall_limit):
     """Per-value at-most-one cardinality rules; permutations also demand
     every value be taken by someone."""
     memb = {v: set(emap.values[v]) for v in c.scope}
@@ -196,11 +196,10 @@ def _support_distinct(instance, emap, c, rules):
         lits = tuple(pos(emap.e_atom(v, i)) for v in c.scope if i in memb[v])
         card = make_cardinality(2, lits)
         if card is not None:
-            rules.append(card)
+            yield card
     if c.kind == PERMUTATION:
         for i in union:
-            lits = tuple(neg(emap.e_atom(v, i)) for v in c.scope if i in memb[v])
-            rules.append(IntegrityRule(lits))
+            yield IntegrityRule(tuple(neg(emap.e_atom(v, i)) for v in c.scope if i in memb[v]))
 
 
 def _table_tuples(emap, c, polarity):
@@ -226,87 +225,68 @@ def _table_tuples(emap, c, polarity):
     return [t for t in itertools.product(*domains) if t not in listed]
 
 
-def _value_lane_table(instance, emap, c, rules, support):
+def _direct_table(emap, c, found):
+    for t in _table_tuples(emap, c, "forbidden"):
+        yield IntegrityRule(tuple(pos(emap.e_atom(v, x)) for v, x in zip(c.scope, t)))
+
+
+def _support_table(emap, c, found):
     arity = len(c.scope)
-    if support and arity >= 2:
-        _support_table_rules(emap, c, rules)
-    if not support or arity != 2:
-        # the direct form; for wide tables under support it also backs up
-        # the pairwise support rules, which alone cannot reject every tuple
-        for t in _table_tuples(emap, c, "forbidden"):
-            rules.append(
-                IntegrityRule(tuple(pos(emap.e_atom(v, x)) for v, x in zip(c.scope, t)))
-            )
-
-
-def _support_table_rules(emap, c, rules):
-    domains = {v: emap.values[v] for v in c.scope}
-    allowed = _table_tuples(emap, c, "allowed")
-    for vi, v in enumerate(c.scope):
-        for wi, w in enumerate(c.scope):
-            if v == w:
-                continue
-            for i in domains[v]:
-                supports = sorted({t[wi] for t in allowed if t[vi] == i})
-                body = [pos(emap.e_atom(v, i))]
-                body.extend(neg(emap.e_atom(w, j)) for j in supports)
-                rules.append(IntegrityRule(tuple(body)))
+    if arity >= 2:
+        allowed = _table_tuples(emap, c, "allowed")
+        for vi, v in enumerate(c.scope):
+            for wi, w in enumerate(c.scope):
+                if v == w:
+                    continue
+                for i in emap.values[v]:
+                    supports = sorted({t[wi] for t in allowed if t[vi] == i})
+                    body = [pos(emap.e_atom(v, i))]
+                    body.extend(neg(emap.e_atom(w, j)) for j in supports)
+                    yield IntegrityRule(tuple(body))
+    if arity != 2:
+        # the direct form; on wide tables it backs up the pairwise
+        # support rules, which alone cannot reject every tuple
+        yield from _direct_table(emap, c, found)
 
 
 # -- range ---------------------------------------------------------------------
 
 
-def _encode_range_lane(instance, emap, kind, rules):
+def _range_domain(emap, name):
+    """Each r(v,l,u) holds unless v is below l or above u, r grows with
+    its interval, and the initial domain is pinned: r(v,1,lo-1),
+    r(v,hi+1,d) and r(v,i,i) for each interior hole i are false."""
     d = emap.d
-    for decl in instance.variables:
-        name = decl.name
-        r = emap.r_atom
-        for l in range(1, d + 1):
-            for u in range(l, d + 1):
-                body = []
-                if l >= 2:
-                    body.append(neg(r(name, 1, l - 1)))
-                if u <= d - 1:
-                    body.append(neg(r(name, u + 1, d)))
-                rules.append(NormalRule(r(name, l, u), tuple(body)))
-        for l in range(2, d + 1):
-            for u in range(l, d + 1):
-                rules.append(IntegrityRule((pos(r(name, l, u)), neg(r(name, l - 1, u)))))
-        for l in range(1, d + 1):
-            for u in range(l, d):
-                rules.append(IntegrityRule((pos(r(name, l, u)), neg(r(name, l, u + 1)))))
-        _carve_range_domain(emap, name, rules)
-    found: dict = {}
-    for c in instance.constraints:
-        if c.kind in (ALLDIFFERENT, PERMUTATION):
-            _interval_count_rules(emap, kind, c, rules)
-        else:
-            for box in _table_boxes(emap, c, found):
-                rules.append(
-                    IntegrityRule(
-                        tuple(pos(emap.r_atom(v, l, u)) for v, (l, u) in zip(c.scope, box))
-                    )
-                )
-
-
-def _carve_range_domain(emap, name, rules):
-    """Pin the initial domain: r(v,1,lo-1), r(v,hi+1,d) and r(v,i,i) for
-    each interior hole i are false."""
-    vals = emap.values[name]
-    lo, hi = vals[0], vals[-1]
-    d = emap.d
-    declared = set(vals)
     r = emap.r_atom
+    for l in range(1, d + 1):
+        for u in range(l, d + 1):
+            body = []
+            if l >= 2:
+                body.append(neg(r(name, 1, l - 1)))
+            if u <= d - 1:
+                body.append(neg(r(name, u + 1, d)))
+            yield NormalRule(r(name, l, u), tuple(body))
+    for l in range(2, d + 1):
+        for u in range(l, d + 1):
+            yield IntegrityRule((pos(r(name, l, u)), neg(r(name, l - 1, u))))
+    for l in range(1, d + 1):
+        for u in range(l, d):
+            yield IntegrityRule((pos(r(name, l, u)), neg(r(name, l, u + 1))))
+    lo, hi = emap.window(name)
     if lo >= 2:
-        rules.append(IntegrityRule((pos(r(name, 1, lo - 1)),)))
+        yield IntegrityRule((pos(r(name, 1, lo - 1)),))
     if hi <= d - 1:
-        rules.append(IntegrityRule((pos(r(name, hi + 1, d)),)))
-    for i in range(lo + 1, hi):
-        if i not in declared:
-            rules.append(IntegrityRule((pos(r(name, i, i)),)))
+        yield IntegrityRule((pos(r(name, hi + 1, d)),))
+    for i in sorted(set(range(lo + 1, hi)).difference(emap.values[name])):
+        yield IntegrityRule((pos(r(name, i, i)),))
 
 
-def _interval_count_rules(emap, kind, c, rules):
+def _range_table(emap, c, found):
+    for box in _table_boxes(emap, c, found):
+        yield IntegrityRule(tuple(pos(emap.r_atom(v, l, u)) for v, (l, u) in zip(c.scope, box)))
+
+
+def _interval_count_rules(emap, c, hall_limit):
     """Pigeonhole cardinality rules over intervals (the Hall-style rules).
 
     For every interval [l,u] (width-capped by hall_limit) at most u-l+1
@@ -316,83 +296,83 @@ def _interval_count_rules(emap, kind, c, rules):
     """
     r = emap.r_atom
     d = emap.d
-    h = kind.hall_limit
-    n = len(c.scope)
-    union = set().union(*(emap.values[v] for v in c.scope))
-    for l in range(1, d + 1):
-        for u in range(l, d + 1):
-            if h is not None and u - l + 1 > h:
-                continue
-            card = make_cardinality(u - l + 2, tuple(pos(r(v, l, u)) for v in c.scope))
-            if card is not None:
-                rules.append(card)
+    intervals = [
+        (l, u)
+        for l in range(1, d + 1)
+        for u in range(l, d + 1)
+        if hall_limit is None or u - l + 1 <= hall_limit
+    ]
+    for l, u in intervals:
+        card = make_cardinality(u - l + 2, tuple(pos(r(v, l, u)) for v in c.scope))
+        if card is not None:
+            yield card
     if c.kind == PERMUTATION:
-        for l in range(1, d + 1):
-            for u in range(l, d + 1):
-                if h is not None and u - l + 1 > h:
-                    continue
-                outside = n - len(union & set(range(l, u + 1)))
-                card = make_cardinality(outside + 1, tuple(neg(r(v, l, u)) for v in c.scope))
-                if card is not None:
-                    rules.append(card)
+        n = len(c.scope)
+        union = set().union(*(emap.values[v] for v in c.scope))
+        for l, u in intervals:
+            outside = n - len(union & set(range(l, u + 1)))
+            card = make_cardinality(outside + 1, tuple(neg(r(v, l, u)) for v in c.scope))
+            if card is not None:
+                yield card
 
 
 # -- bound ---------------------------------------------------------------------
 
 
-def _encode_bound_lane(instance, emap, kind, rules):
-    d = emap.d
-    for decl in instance.variables:
-        name = decl.name
-        b = emap.b_atom
-        atoms = [b(name, i) for i in range(1, d + 1)]
-        rules.append(ChoiceRule(tuple(atoms)))
-        for i in range(1, d):
-            rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i + 1)))))
-        _carve_bound_domain(emap, name, rules)
-    found: dict = {}
-    for c in instance.constraints:
-        if c.kind in (ALLDIFFERENT, PERMUTATION):
-            _interval_count_rules(emap, kind, c, rules)
-        else:
-            for box in _table_boxes(emap, c, found):
-                body = []
-                for v, (l, u) in zip(c.scope, box):
-                    body.append(pos(emap.b_atom(v, u)))
-                    if l >= 2:
-                        body.append(neg(emap.b_atom(v, l - 1)))
-                rules.append(IntegrityRule(tuple(body)))
-    # interval atoms exist only where the counting rules need them; the
-    # completion of the one rule defining each ties it to both endpoints
-    linked: dict[str, set[tuple[int, int]]] = {}
-    for rule in rules:
-        if isinstance(rule, CardinalityRule):
-            for lit in rule.literals:
-                name, l, u = lit.atom.args
-                linked.setdefault(name, set()).add((l, u))
-    for decl in instance.variables:
-        name = decl.name
-        for l, u in sorted(linked.get(name, ())):
-            body = []
-            if l >= 2:
-                body.append(neg(emap.b_atom(name, l - 1)))
-            body.append(pos(emap.b_atom(name, u)))
-            rules.append(NormalRule(emap.r_atom(name, l, u), tuple(body)))
-
-
-def _carve_bound_domain(emap, name, rules):
-    """Pin the initial domain: b(v,hi) holds, b(v,lo-1) does not, and no
-    interior hole i has b(v,i) without b(v,i-1)."""
-    vals = emap.values[name]
-    lo, hi = vals[0], vals[-1]
-    declared = set(vals)
+def _bound_domain(emap, name):
+    """The b(v,i) form a ladder, and the initial domain is pinned: b(v,hi)
+    holds, b(v,lo-1) does not, and no interior hole i has b(v,i) without
+    b(v,i-1)."""
     b = emap.b_atom
-    rules.append(IntegrityRule((neg(b(name, hi)),)))
+    yield ChoiceRule(tuple(b(name, i) for i in range(1, emap.d + 1)))
+    for i in range(1, emap.d):
+        yield IntegrityRule((pos(b(name, i)), neg(b(name, i + 1))))
+    lo, hi = emap.window(name)
+    yield IntegrityRule((neg(b(name, hi)),))
     if lo >= 2:
-        rules.append(IntegrityRule((pos(b(name, lo - 1)),)))
-    for i in range(lo + 1, hi):
-        if i not in declared:
-            rules.append(IntegrityRule((pos(b(name, i)), neg(b(name, i - 1)))))
+        yield IntegrityRule((pos(b(name, lo - 1)),))
+    for i in sorted(set(range(lo + 1, hi)).difference(emap.values[name])):
+        yield IntegrityRule((pos(b(name, i)), neg(b(name, i - 1))))
+
+
+def _bound_table(emap, c, found):
+    for box in _table_boxes(emap, c, found):
+        body = []
+        for v, (l, u) in zip(c.scope, box):
+            body.append(pos(emap.b_atom(v, u)))
+            if l >= 2:
+                body.append(neg(emap.b_atom(v, l - 1)))
+        yield IntegrityRule(tuple(body))
+
+
+def _define_interval_atoms(emap, rules):
+    """One rule r(v,l,u) :- not b(v,l-1), b(v,u) for each interval atom
+    that the counting rules read; the completion of that one rule ties
+    the atom to both endpoints."""
+    b = emap.b_atom
+    linked = {lit.atom.args for rule in rules if isinstance(rule, CardinalityRule)
+              for lit in rule.literals}
+    rank = {name: k for k, name in enumerate(emap.values)}  # declaration order
+    return [
+        NormalRule(emap.r_atom(name, l, u),
+                   ((neg(b(name, l - 1)),) if l >= 2 else ()) + (pos(b(name, u)),))
+        for name, l, u in sorted(linked, key=lambda args: (rank[args[0]], args))
+    ]
+
+
+TRANSLATIONS = {
+    "direct": Translation(EncodingMap.e_atom, _value_domain, _direct_distinct,
+                          _direct_table, "ac"),
+    "support": Translation(EncodingMap.e_atom, _value_domain, _support_distinct,
+                           _support_table, "ac"),
+    "bound": Translation(EncodingMap.b_atom, _bound_domain, _interval_count_rules,
+                         _bound_table, "bound", hall=True,
+                         close=_define_interval_atoms),
+    "range": Translation(lambda emap, name, i: emap.r_atom(name, i, i), _range_domain,
+                         _interval_count_rules, _range_table, "range", hall=True),
+}
+
+ENCODING_NAMES = tuple(TRANSLATIONS)
 
 
 # -- table boxes -----------------------------------------------------------------
@@ -486,13 +466,6 @@ def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
     kind = enc.kind.name
     atom = enc.value_atom
     seeds: list[SignedLiteral] = []
-    seen = set()
-
-    def emit(lit):
-        if lit not in seen:
-            seen.add(lit)
-            seeds.append(lit)
-
     for decl in enc.instance.variables:
         name = decl.name
         current = [emap.internal(v) for v in state.domains[name]]
@@ -502,20 +475,20 @@ def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
         lo, hi = current[0], current[-1]
         if kind == "bound":
             if hi < declared[-1]:
-                emit(SignedLiteral(atom(name, hi), True))
+                seeds.append(SignedLiteral(atom(name, hi), True))
             if lo > declared[0]:
-                emit(SignedLiteral(atom(name, lo - 1), False))
+                seeds.append(SignedLiteral(atom(name, lo - 1), False))
             continue
         kept = set(current)
         for i in declared:
             if i not in kept:
-                emit(SignedLiteral(atom(name, i), False))
+                seeds.append(SignedLiteral(atom(name, i), False))
         if kind == "range":
             if lo >= 2:
-                emit(SignedLiteral(emap.r_atom(name, 1, lo - 1), False))
+                seeds.append(SignedLiteral(emap.r_atom(name, 1, lo - 1), False))
             if hi <= emap.d - 1:
-                emit(SignedLiteral(emap.r_atom(name, hi + 1, emap.d), False))
-    return seeds
+                seeds.append(SignedLiteral(emap.r_atom(name, hi + 1, emap.d), False))
+    return list(dict.fromkeys(seeds))  # r(v,1,lo-1) can repeat a value atom r(v,1,1)
 
 
 def pruned_domains(enc: Encoding, assignment) -> DomainState:

@@ -42,6 +42,13 @@ class SolverConfig:
     max_conflicts: int | None = None
     timeout_s: float | None = None
 
+    def __post_init__(self):
+        # "not >=" so that NaN, which fails every comparison, is rejected
+        for name in ("max_conflicts", "timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be at least 0, not {value}")
+
 
 @dataclass
 class Stats:

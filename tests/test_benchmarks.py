@@ -325,6 +325,22 @@ def test_spec_labels_and_dispatch():
         BenchSpec("sudoku", {}).build()
 
 
+def test_spec_fills_defaults_and_checks_types():
+    qcp = BenchSpec("qcp", {"order": 5, "fill": 30})
+    assert qcp.label() == "order=5,fill=30"
+    assert format_instance(qcp.build()) == format_instance(gen_qcp(5, 30, 0))
+    parsed = BenchSpec.parse("qcp:order=5,fill=30,seed=2,permutation=true")
+    assert parsed.params == {"order": 5, "fill": 30, "seed": 2, "permutation": True}
+    assert BenchSpec.parse("qep:axiom=qg5,order=3").params == {"axiom": "qg5", "order": 3}
+    for params in ({"n": "4"}, {"n": True}, {}):
+        with pytest.raises(ValueError, match="parameter 'n'"):
+            BenchSpec("php", params)
+    with pytest.raises(ValueError, match="takes true or false, not 1"):
+        BenchSpec("qcp", {"order": 5, "fill": 30, "permutation": 1})
+    with pytest.raises(ValueError, match="bad spec parameter 'n' in 'php:n'"):
+        BenchSpec.parse("php:n")
+
+
 def test_run_suite_produces_one_row_per_pairing():
     report = run_suite(
         [BenchSpec("php", {"n": 4})],

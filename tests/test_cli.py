@@ -526,6 +526,11 @@ def test_gen_qep_and_ggp(capsys):
     assert code == 0 and "permutation" in out
 
 
+def test_gen_names_the_fill_flag_in_its_range_error(capsys):
+    code, out, err = run(capsys, "gen", "qcp", "--order", "5", "--fill", "200")
+    assert (code, out, err) == (1, "", "cspasp: error: fill must be within 0..100, not 200\n")
+
+
 # -- bench -----------------------------------------------------------------------
 
 
@@ -555,6 +560,46 @@ def test_bench_rejects_unknown_family_or_param(capsys):
         "cspasp: error: benchmark family 'qcp' takes no parameter 'permutaton' "
         "(it takes order, fill, seed, permutation)\n"
     )
+
+
+def bench_cells(capsys, spec):
+    """The one row of ``bench --spec SPEC -e support``, without its
+    params label and time_ms."""
+    code, out, err = run(capsys, "bench", "--spec", spec, "-e", "support")
+    assert (code, err) == (0, "")
+    cells = out.splitlines()[1].split()
+    return cells[:1] + cells[2:8] + cells[9:]
+
+
+def test_bench_defaults_the_qcp_seed_as_gen_does(capsys):
+    assert bench_cells(capsys, "qcp:order=5,fill=30") == bench_cells(
+        capsys, "qcp:order=5,fill=30,seed=0"
+    )
+    _, defaulted, _ = run(capsys, "gen", "qcp", "--order", "5", "--fill", "30")
+    _, seeded, _ = run(capsys, "gen", "qcp", "--order", "5", "--fill", "30", "--seed", "0")
+    assert defaulted == seeded
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("php:n=abc", "benchmark parameter 'n' takes an integer, not 'abc'"),
+        ("qcp:order=4,fill=30,permutation=no",
+         "benchmark parameter 'permutation' takes true or false, not 'no'"),
+        ("qcp:order=4,seed=1", "benchmark family 'qcp' needs parameter 'fill'"),
+    ],
+)
+def test_bench_rejects_a_spec_value_of_the_wrong_type(capsys, spec, message):
+    code, out, err = run(capsys, "bench", "--spec", spec)
+    assert (code, out, err) == (1, "", f"cspasp: error: {message}\n")
+
+
+def test_bench_reads_permutation_as_true_or_false(capsys):
+    rules = {
+        value: int(bench_cells(capsys, f"qcp:order=4,fill=30,permutation={value}")[-1])
+        for value in ("false", "FALSE", "true", "True")
+    }
+    assert rules["false"] == rules["FALSE"] < rules["true"] == rules["True"]
 
 
 def test_bench_hall_limit_wider_than_an_instance_keeps_every_row(capsys):

@@ -1,6 +1,7 @@
 """Translations to ground programs: structure, seeding, decoding, boxes."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -602,3 +603,59 @@ def test_tables_of_one_signature_share_their_boxes(monkeypatch):
     monkeypatch.setattr(encoder, "_maximal_empty_boxes", counted)
     encode(gen_ggp_double_wheel(4), EncodingKind("bound"))
     assert len(calls) == 1
+
+
+# -- golden programs ----------------------------------------------------------------
+
+# Between them these reach every rule family of every translation: an
+# all-different and a permutation, domains off the window's ends and with
+# holes, a pinned variable, and allowed and forbidden tables of arity 1-3
+# (one tuple falls outside an effective domain and is filtered).
+GOLDEN_INSTANCES = {
+    "tables": """\
+var x 1 3
+var y { 2 4 5 }
+var z 0 5
+var w { 1 3 }
+var u 1 2
+alldifferent x y z
+forbidden (z) : (2)
+allowed (w) : (3)
+allowed (x y) : (1 2) (2 4) (3 5) (3 2)
+forbidden (y z) : (2 2) (4 4) (5 0)
+allowed (x y w) : (1 2 3) (2 4 1) (3 5 3)
+forbidden (x z u) : (1 1 1) (2 3 2) (3 0 2)
+assign u 2
+""",
+    "permutation": """\
+var a { 1 3 }
+var b 1 3
+var c 2 3
+var d 0 4
+permutation a b c
+alldifferent c d
+""",
+}
+
+GOLDEN_SHA256 = {
+    ("permutation", "direct", None): "320fbc4d45c2d203dca2660973ff45368c198d53b2275e397d7f779604675cf7",
+    ("permutation", "support", None): "c93023224d3d34bb530c1ae0afcbf0853090c4cf164595b277e52628366a4e19",
+    ("permutation", "bound", None): "810346d4bdb4b120f1d46421b7a341a8a7bf44358a550e9636688a3f5d096fd8",
+    ("permutation", "range", None): "14d978c28c9c7edc08df6cc4b0369db1d7f9f3187c15bf3603d196215977049f",
+    ("permutation", "bound", 1): "25cb15576c0474febb7affa631368e36e3af1aa085fccda68c5c79bbba532142",
+    ("permutation", "range", 1): "691f4ff64c7636cf40584979376d2391f6d60d97e362fb03fee1fa28452b1511",
+    ("tables", "direct", None): "3ce9d8a86a2e6e2f1e62164210319046812889e47a54344f4d0c7da402c62ab5",
+    ("tables", "support", None): "2bba9a41b5b0ea471659b736bac00d7d8648773cc6956372bce2c4bc6ebd0a71",
+    ("tables", "bound", None): "7d05fce281d8099f5be56c3222f2efb6e9cb9ad11068c01dd1ff8777527d184a",
+    ("tables", "range", None): "2c603769240a4b54247ec59630e71aeedadcb5c95c2fbacbbaa7a9146ba1b031",
+    ("tables", "bound", 1): "c58873531fa9c27e7ff86b7c54bea267f264ba0dcd8a7c938cd48e344e35436b",
+    ("tables", "range", 1): "40c4ade27c46b3e7d8fec72e208714682d125b8c0ba3933f5109666cd25db407",
+}
+
+
+@pytest.mark.parametrize("key", GOLDEN_SHA256, ids=lambda key: "-".join(map(str, key)))
+def test_programs_match_their_golden_digests(key):
+    instance, name, hall = key
+    enc = encode(parse_instance(GOLDEN_INSTANCES[instance]), EncodingKind(name, hall))
+    text = emit_ground(enc.program)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[key]

@@ -398,6 +398,26 @@ def test_time_budget_reports_unknown():
     assert res.status == UNKNOWN
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"timeout_s": -1.0}, "timeout_s must be at least 0, not -1.0"),
+        ({"timeout_s": float("nan")}, "timeout_s must be at least 0, not nan"),
+        ({"max_conflicts": -1}, "max_conflicts must be at least 0, not -1"),
+    ],
+)
+def test_config_rejects_budgets_below_zero(budget, message):
+    with pytest.raises(ValueError) as exc:
+        SolverConfig(**budget)
+    assert str(exc.value) == message
+
+
+def test_zero_budgets_are_valid():
+    assert SolverConfig(max_conflicts=0, timeout_s=0).timeout_s == 0
+    res = solve(php_store(7), SolverConfig(max_conflicts=0))
+    assert (res.status, res.stats.conflicts) == (UNKNOWN, 0)
+
+
 # -- enumeration ---------------------------------------------------------------------
 
 
