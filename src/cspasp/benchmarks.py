@@ -418,6 +418,8 @@ class BenchSpec:
             key, eq, value = field.partition("=")
             if not eq or not key:
                 raise ValueError(f"bad spec parameter {field!r} in {text!r}")
+            if key in params:
+                raise ValueError(f"spec parameter {key!r} repeated in {text!r}")
             params[key] = _read(takes[key].type, value) if key in takes else value
         return cls(family, params)
 

@@ -602,7 +602,7 @@ class EncodingPropagator:
         self.trail = Trail(self.store)
         self.root_conflict = unit_propagate(self.store, self.trail) is not None
         self._readback = [
-            (idx, entity)
+            (2 * idx, entity)  # the code of "entity is true"
             for idx, entity in enumerate(self.store.entities)
             if entity in enc.value_atoms
         ]
@@ -627,11 +627,11 @@ class EncodingPropagator:
                     trail.assign(code, None)
             if unit_propagate(store, trail) is not None:
                 return None
-            values = trail.values
+            lit = trail.lit
             readback = [
-                SignedLiteral(atom, values[idx] == 1)
-                for idx, atom in self._readback
-                if values[idx]
+                SignedLiteral(atom, lit[code] == 1)
+                for code, atom in self._readback
+                if lit[code] or lit[code + 1]
             ]
             return pruned_domains(self.enc, readback)
         finally:

@@ -6,6 +6,18 @@ The hot loops run on integer literal codes -- ``2*index`` for "entity is
 true", ``2*index + 1`` for "entity is false" -- and never touch the
 entity objects themselves.
 
+The assignment is one byte per literal code, ``Trail.lit``: ``lit[c]``
+is 1 iff code c holds, so c is falsified iff ``lit[c ^ 1]`` and a count
+of the codes that hold is ``sum(map(lit.__getitem__, codes))``.  The
+per-entity ``Trail.values`` is a read-only view derived from it.
+
+Each nogood also has a skip key, ``NogoodStore.skip[id]``: its two
+watched codes xor-ed together and with 1.  When watched code ``sigma``
+comes to hold, ``skip[id] ^ sigma`` is the complement of the other
+watch, so a visit that finds the other watch falsified -- most visits --
+is one byte test and never reads the ``Nogood`` object.  A watch list is
+compacted only when one of its watches moved.
+
 Besides nogoods the store holds cardinality constraints ``:- k {l1..ln}``
 (fewer than k of the literals may hold), propagated by counting rather
 than through a clausal expansion.  Their ids are ``~j`` for the j-th
@@ -81,6 +93,7 @@ class NogoodStore:
         self.entities: list[Any] = []
         self._index: dict[Any, int] = {}
         self.nogoods: list[Nogood] = []
+        self.skip: list[int] = []  # per nogood: lits[0] ^ lits[1] ^ 1
         self.units: list[int] = []  # ids of size-1 nogoods, never watched
         # indexed by literal code, grown in intern
         self.watches: list[list[int]] = []
@@ -151,7 +164,9 @@ class NogoodStore:
         self.nogoods.append(ng)
         if len(codes) == 1:
             self.units.append(ng_id)
+            self.skip.append(0)  # never watched, never read
         else:
+            self.skip.append(codes[0] ^ codes[1] ^ 1)
             self.watches[codes[0]].append(ng_id)
             self.watches[codes[1]].append(ng_id)
         if not learned:
@@ -192,9 +207,7 @@ class NogoodStore:
         """
         if ng_id >= 0:
             return self.nogoods[ng_id].lits
-        lits = self.cardinalities[~ng_id].lits
-        values = trail.values
-        held = [c for c in lits if values[c >> 1] == 1 + (c & 1)]
+        held = list(filter(trail.lit.__getitem__, self.cardinalities[~ng_id].lits))
         if implied is None:
             return held
         pos_of = trail.pos_of
@@ -212,15 +225,33 @@ class NogoodStore:
                 raise ValueError("static nogoods are permanent")
             ng.deleted = True
             touched.update(ng.lits[:2])
-        watches = self.watches
         for c in touched:
-            watches[c] = [i for i in watches[c] if i not in gone]
+            _drop(self.watches[c], gone)
+
+
+class EntityValues:
+    """Read-only per-entity view of a trail's literal array: ``values[i]``
+    is UNASSIGNED, TRUE or FALSE for entity index ``i``."""
+
+    __slots__ = ("_lit",)
+
+    def __init__(self, lit: bytearray):
+        self._lit = lit
+
+    def __len__(self) -> int:
+        return len(self._lit) >> 1
+
+    def __getitem__(self, idx: int) -> int:
+        lit = self._lit
+        return lit[2 * idx] | lit[2 * idx + 1] << 1
 
 
 class Trail:
     """Assignment sequence with decision levels and reasons.
 
-    Backed by flat per-entity arrays so the propagation loop stays cheap.
+    ``lit`` holds the assignment, one byte per literal code, and is the
+    only assignment state; ``values`` reads it per entity.  The other
+    per-entity arrays are flat lists so the propagation loop stays cheap.
     ``reason_of`` holds the id (a nogood's, or ``~j`` for a cardinality
     constraint) that implied an entity, or None for decisions and
     externally seeded literals.
@@ -229,7 +260,8 @@ class Trail:
     def __init__(self, store: NogoodStore):
         n = store.n_entities
         self.store = store
-        self.values = bytearray(n)
+        self.lit = bytearray(2 * n)
+        self.values = EntityValues(self.lit)
         self.level_of = [0] * n
         self.reason_of: list[int | None] = [None] * n
         self.pos_of = [0] * n
@@ -243,17 +275,18 @@ class Trail:
         return len(self.level_starts) - 1
 
     def holds(self, code: int) -> bool:
-        return self.values[code >> 1] == 1 + (code & 1)
+        return self.lit[code] == 1
 
     def falsified(self, code: int) -> bool:
-        return self.values[code >> 1] == 2 - (code & 1)
+        return self.lit[code ^ 1] == 1
 
     def assign(self, code: int, reason: int | None) -> None:
         """Append a literal; the entity must be unassigned."""
+        lit = self.lit
+        if lit[code] or lit[code ^ 1]:
+            raise ValueError(f"entity {self.store.entities[code >> 1]!r} already assigned")
+        lit[code] = 1
         idx = code >> 1
-        if self.values[idx]:
-            raise ValueError(f"entity {self.store.entities[idx]!r} already assigned")
-        self.values[idx] = 1 + (code & 1)
         self.level_of[idx] = len(self.level_starts) - 1
         self.reason_of[idx] = reason
         self.pos_of[idx] = len(self.codes)
@@ -271,9 +304,9 @@ class Trail:
         """Pop every assignment above ``level``; returns the popped codes."""
         cut = self.level_starts[level + 1] if level < self.level else len(self.codes)
         popped = self.codes[cut:]
-        values = self.values
+        lit = self.lit
         for code in popped:
-            values[code >> 1] = 0
+            lit[code] = 0
         del self.codes[cut:]
         del self.level_starts[level + 1:]
         if self.head > cut:
@@ -299,10 +332,12 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     at k of them and, at k-1, forces every unassigned literal false.
     """
     nogoods = store.nogoods
+    skip = store.skip
     watches = store.watches
     cards = store.cardinalities
     card_watches = store.card_watches
-    values = trail.values
+    lit = trail.lit
+    held = lit.__getitem__
     level_of = trail.level_of
     reason_of = trail.reason_of
     pos_of = trail.pos_of
@@ -314,16 +349,15 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     if trail.units_seen < len(store.units) and level == 0:
         for ng_id in store.units[trail.units_seen:]:
             c = nogoods[ng_id].lits[0]
-            idx = c >> 1
-            v = values[idx]
-            if v == 0:
-                values[idx] = 2 - (c & 1)
+            if lit[c]:
+                return ng_id
+            if not lit[c ^ 1]:
+                idx = c >> 1
+                lit[c ^ 1] = 1
                 level_of[idx] = 0
                 reason_of[idx] = ng_id
                 pos_of[idx] = len(codes)
                 codes.append(c ^ 1)
-            elif v == 1 + (c & 1):
-                return ng_id
         trail.units_seen = len(store.units)
 
     head = trail.head
@@ -332,66 +366,64 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
         head += 1
         for j in card_watches[sigma]:
             bound, lits = cards[j]
-            held = 0
-            for c in lits:
-                if values[c >> 1] == 1 + (c & 1):
-                    held += 1
-            if held < bound - 1:
+            n_held = sum(map(held, lits))
+            if n_held < bound - 1:
                 continue
-            if held >= bound:
+            if n_held >= bound:
                 trail.head = head
                 return ~j
             for c in lits:
-                idx = c >> 1
                 # re-read: forcing "a" false makes a "not a" of the
                 # same constraint hold, and the next visit counts it
-                if values[idx] == 0:
-                    values[idx] = 2 - (c & 1)
+                if not (lit[c] or lit[c ^ 1]):
+                    idx = c >> 1
+                    lit[c ^ 1] = 1
                     level_of[idx] = level
                     reason_of[idx] = ~j
                     pos_of[idx] = len(codes)
                     codes.append(c ^ 1)
         wl = watches[sigma]
-        write = 0
-        for i, ng_id in enumerate(wl):
+        moved = []  # ids whose watch moved off sigma, dropped from wl below
+        for ng_id in wl:
+            if lit[skip[ng_id] ^ sigma]:
+                continue  # the other watch is falsified: nogood cannot fire
             lits = nogoods[ng_id].lits
-            other = lits[1] if lits[0] == sigma else lits[0]
-            ov = values[other >> 1]
-            if ov == 2 - (other & 1):
-                # the other watch is falsified: nogood cannot fire
-                wl[write] = ng_id
-                write += 1
-                continue
+            w = lits[0] != sigma  # position of sigma among the watches
+            other = lits[1 - w]
             for k in range(2, len(lits)):
                 c = lits[k]
-                if values[c >> 1] != 1 + (c & 1):
+                if not lit[c]:
                     # c does not hold: watch it instead of sigma
-                    if lits[0] == sigma:
-                        lits[0] = c
-                    else:
-                        lits[1] = c
+                    lits[w] = c
                     lits[k] = sigma
+                    skip[ng_id] = c ^ other ^ 1
                     watches[c].append(ng_id)
+                    moved.append(ng_id)
                     break
             else:
                 # no replacement watch: the nogood is unit or violated
-                wl[write] = ng_id
-                write += 1
-                if ov == 0:
-                    idx = other >> 1
-                    values[idx] = 2 - (other & 1)
-                    level_of[idx] = level
-                    reason_of[idx] = ng_id
-                    pos_of[idx] = len(codes)
-                    codes.append(other ^ 1)
-                else:
+                if lit[other]:
                     # every literal holds: violation
-                    wl[write:] = wl[i + 1:]
+                    if moved:
+                        _drop(wl, set(moved))
                     trail.head = head
                     return ng_id
-        del wl[write:]
+                idx = other >> 1
+                lit[other ^ 1] = 1
+                level_of[idx] = level
+                reason_of[idx] = ng_id
+                pos_of[idx] = len(codes)
+                codes.append(other ^ 1)
+        if moved:
+            _drop(wl, set(moved))
     trail.head = head
     return None
+
+
+def _drop(wl: list[int], gone: set[int]) -> None:
+    """Remove the ids in ``gone`` from watch list ``wl``, keeping the
+    others' order."""
+    wl[:] = [ng_id for ng_id in wl if ng_id not in gone]
 
 
 def dump_nogoods(store: NogoodStore) -> str:

@@ -10,6 +10,17 @@ first phase, Luby restarts in units of 64 conflicts, and a learned store
 capped at ten times the static one.  ``SolverConfig`` holds only the
 budgets (conflicts, wall time).
 
+Decisions come from a lazy binary heap of ``(-activity, index)``
+entries.  ``heaped[i]`` is the activity at which entity i was last
+pushed, or -1 once that entry is popped, so i has an entry at its
+current activity exactly when ``heaped[i] == activity[i]``; it is pushed
+only when it has none.  Every unassigned decidable atom has one, so
+``pick`` pops the least (-activity, index) among them, passing over
+entries that are stale (the activity moved on) or assigned.  A push
+that would take the heap past twice the number of decidable atoms
+rebuilds it instead, by ``heapify``, from the unassigned ones alone, so
+it never holds more entries than that.
+
 Everything here is deterministic: ties break on entity index, restarts
 follow the Luby sequence, and no randomness is involved, so a freshly
 built store always reproduces the same run and statistics under any
@@ -105,12 +116,11 @@ def analyze(store: NogoodStore, trail: Trail, conflict_id: int):
     seen: set[int] = set()
     lower: list[int] = []  # learned literals below the conflict level
     counter = 0
-
-    def absorb(lits, skip):
-        nonlocal counter
+    lits = store.lits_of(conflict_id, trail)
+    p = len(codes) - 1
+    while True:
+        # a reason's own implied literal is on an entity already seen
         for c in lits:
-            if c == skip:
-                continue
             idx = c >> 1
             if idx in seen:
                 continue
@@ -120,10 +130,6 @@ def analyze(store: NogoodStore, trail: Trail, conflict_id: int):
                 counter += 1
             elif lvl > 0:
                 lower.append(c)
-
-    absorb(store.lits_of(conflict_id, trail), skip=-1)
-    p = len(codes) - 1
-    while True:
         while codes[p] >> 1 not in seen:
             p -= 1
         c = codes[p]
@@ -132,7 +138,7 @@ def analyze(store: NogoodStore, trail: Trail, conflict_id: int):
         if counter == 0:
             uip = c
             break
-        absorb(store.lits_of(reason_of[c >> 1], trail, c), skip=c ^ 1)
+        lits = store.lits_of(reason_of[c >> 1], trail, c)
 
     lower.sort(key=lambda c: -trail.pos_of[c >> 1])
     learned = [uip] + lower
@@ -152,8 +158,10 @@ class _Search:
         self.decidable = [not isinstance(e, BodyId) for e in store.entities]
         self.activity = [0.0] * n
         self.bump = 1.0
-        self.heap = [(0.0, i) for i in range(n) if self.decidable[i]]
-        heapq.heapify(self.heap)
+        self.heap: list[tuple[float, int]] = []
+        self.heaped = [0.0] * n
+        self.heap_limit = 2 * sum(self.decidable)
+        self.rebuild_heap()
         self.phase = bytearray(n)
         self.restart_index = 1
         self.budget = LUBY_UNIT * luby(1)
@@ -166,41 +174,43 @@ class _Search:
 
     # -- heuristics ---------------------------------------------------------
 
-    def bump_entity(self, idx: int) -> None:
-        """Raise an entity's activity.  The entity is on the trail, so it
-        needs no heap entry until ``on_backjump`` unassigns it."""
-        act = self.activity[idx] + self.bump
-        self.activity[idx] = act
-        if act > 1e100:
-            self.rescale()
-
     def rescale(self) -> None:
         """Scale every entity and learned-nogood activity, and the bump
         they share, down by 1e-100 before they overflow."""
-        self.activity = [a * 1e-100 for a in self.activity]
+        self.activity[:] = [a * 1e-100 for a in self.activity]
         self.bump *= 1e-100
         for ng in self.store.nogoods:
             if ng.learned:
                 ng.activity *= 1e-100
-        self.heap = [
-            (-self.activity[i], i) for i in range(len(self.activity)) if self.decidable[i]
-        ]
-        heapq.heapify(self.heap)
+        self.rebuild_heap()
+
+    def rebuild_heap(self) -> None:
+        """One entry per unassigned decidable atom, at its activity."""
+        lit = self.trail.lit
+        activity = self.activity
+        heaped = self.heaped
+        heap = self.heap
+        heap.clear()
+        for i, dec in enumerate(self.decidable):
+            if dec and not (lit[2 * i] or lit[2 * i + 1]):
+                heaped[i] = activity[i]
+                heap.append((-activity[i], i))
+            else:
+                heaped[i] = -1.0
+        heapq.heapify(heap)
 
     def pick(self) -> int | None:
-        """The unassigned decidable entity least by (-activity, index).
-
-        Every such entity has a heap entry at its current activity: from
-        the start, from ``on_backjump`` or from ``rescale``.  Entries whose
-        activity has changed since are stale and skipped.
-        """
-        values = self.trail.values
+        """The unassigned decidable entity least by (-activity, index)."""
+        lit = self.trail.lit
         activity = self.activity
+        heaped = self.heaped
         heap = self.heap
         while heap:
             negact, idx = heapq.heappop(heap)
-            if values[idx] == 0 and -negact == activity[idx]:
-                return idx
+            if -negact == activity[idx]:
+                heaped[idx] = -1.0
+                if not (lit[2 * idx] or lit[2 * idx + 1]):
+                    return idx
         return None
 
     # -- learned-store management --------------------------------------------
@@ -232,33 +242,52 @@ class _Search:
             return True
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def propagate(self) -> int | None:
-        before = len(self.trail.codes)
-        conflict = unit_propagate(self.store, self.trail)
-        self.stats.propagations += len(self.trail.codes) - before
-        return conflict
-
     def on_backjump(self, popped) -> None:
-        """Phase saving plus heuristic-heap reinsertion for popped entities."""
+        """Phase saving, and a heap entry for each popped decidable entity
+        that has none at its current activity.  A push that would take the
+        heap past its limit rebuilds it instead; the rebuild takes in every
+        unassigned atom, the popped ones included."""
+        phase = self.phase
+        decidable = self.decidable
+        activity = self.activity
+        heaped = self.heaped
+        heap = self.heap
+        limit = self.heap_limit
         for code in popped:
             idx = code >> 1
-            self.phase[idx] = 0 if code & 1 else 1
-            if self.decidable[idx]:
-                heapq.heappush(self.heap, (-self.activity[idx], idx))
+            phase[idx] = ~code & 1
+            if decidable[idx] and heaped[idx] != activity[idx]:
+                if len(heap) >= limit:
+                    self.rebuild_heap()
+                    continue
+                act = activity[idx]
+                heaped[idx] = act
+                heapq.heappush(heap, (-act, idx))
 
     def run(self) -> str:
         trail = self.trail
+        codes = trail.codes
         store = self.store
         stats = self.stats
+        activity = self.activity  # rescale updates it in place
         while True:
-            conflict = self.propagate()
+            before = len(codes)
+            conflict = unit_propagate(store, trail)
+            stats.propagations += len(codes) - before
             if conflict is not None:
                 stats.conflicts += 1
                 if trail.level == 0:
                     return UNSAT
                 learned, jump, seen = analyze(store, trail, conflict)
+                # an entity bumped here is on the trail, so it needs no
+                # heap entry until on_backjump unassigns it
+                bump = self.bump
                 for idx in seen:
-                    self.bump_entity(idx)
+                    act = activity[idx] + bump
+                    activity[idx] = act
+                    if act > 1e100:
+                        self.rescale()
+                        bump = self.bump
                 if conflict >= 0 and store.nogoods[conflict].learned:
                     store.nogoods[conflict].activity += self.bump
                 self.bump /= ACTIVITY_DECAY
@@ -294,11 +323,11 @@ class _Search:
 def _verify_static(store: NogoodStore, trail: Trail) -> None:
     """Independent pass: no static nogood may be contained in the model,
     and no cardinality constraint may have its bound of literals hold."""
-    holds = trail.holds
+    held = trail.lit.__getitem__
     for ng in store.nogoods:
         if ng.learned or ng.deleted:
             continue
-        if all(holds(c) for c in ng.lits):
+        if all(map(held, ng.lits)):
             raise RuntimeError("model violates a static nogood; solver bug")
     for j, card in enumerate(store.cardinalities):
         if len(store.lits_of(~j, trail)) >= card.bound:

@@ -341,6 +341,13 @@ def test_spec_fills_defaults_and_checks_types():
         BenchSpec.parse("php:n")
 
 
+def test_spec_rejects_a_repeated_parameter():
+    with pytest.raises(ValueError, match="spec parameter 'n' repeated in 'php:n=4,n=5'"):
+        BenchSpec.parse("php:n=4,n=5")
+    with pytest.raises(ValueError, match="parameter 'seed' repeated"):
+        BenchSpec.parse("qcp:order=5,fill=30,seed=1,seed=1")
+
+
 def test_run_suite_produces_one_row_per_pairing():
     report = run_suite(
         [BenchSpec("php", {"n": 4})],

@@ -587,6 +587,7 @@ def test_bench_defaults_the_qcp_seed_as_gen_does(capsys):
         ("qcp:order=4,fill=30,permutation=no",
          "benchmark parameter 'permutation' takes true or false, not 'no'"),
         ("qcp:order=4,seed=1", "benchmark family 'qcp' needs parameter 'fill'"),
+        ("php:n=4,n=5", "spec parameter 'n' repeated in 'php:n=4,n=5'"),
     ],
 )
 def test_bench_rejects_a_spec_value_of_the_wrong_type(capsys, spec, message):

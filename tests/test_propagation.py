@@ -110,6 +110,67 @@ def test_backjump_pops_levels_and_resets_queue():
     assert len(popped) == 3
 
 
+def check_views(store, trail):
+    """``lit``, the derived ``values``, ``holds`` and ``falsified`` agree
+    with each other and with the codes on the trail."""
+    lit = trail.lit
+    assert len(lit) == 2 * store.n_entities and len(trail.values) == store.n_entities
+    assert {c for c in range(len(lit)) if lit[c]} == set(trail.codes)
+    for idx in range(store.n_entities):
+        t, f = 2 * idx, 2 * idx + 1
+        assert lit[t] + lit[f] <= 1
+        assert trail.values[idx] == (1 if lit[t] else 2 if lit[f] else 0)
+        assert trail.holds(t) == trail.falsified(f) == (lit[t] == 1)
+        assert trail.holds(f) == trail.falsified(t) == (lit[f] == 1)
+
+
+def check_watches(store):
+    """Each live nogood is watched on its first two codes, exactly once
+    each, and its skip key is those two codes xor-ed and xor 1."""
+    want = [[] for _ in store.watches]
+    for ng_id, ng in enumerate(store.nogoods):
+        if len(ng.lits) > 1 and not ng.deleted:
+            want[ng.lits[0]].append(ng_id)
+            want[ng.lits[1]].append(ng_id)
+            assert store.skip[ng_id] == ng.lits[0] ^ ng.lits[1] ^ 1
+    assert [sorted(wl) for wl in store.watches] == want
+
+
+def test_trail_views_agree_over_random_assign_and_backjump():
+    rng = random.Random("views")
+    for trial in range(300):
+        ents = [f"x{i}" for i in range(rng.randint(1, 10))]
+        store = build_store(
+            [sl(e, rng.random() < 0.5) for e in rng.sample(ents, rng.randint(1, min(4, len(ents))))]
+            for _ in range(rng.randint(0, 15))
+        )
+        for e in ents:
+            store.intern(e)
+        trail = Trail(store)
+        for _ in range(20):
+            op = rng.random()
+            free = [i for i in range(store.n_entities) if trail.values[i] == 0]
+            if op < 0.4 and free:
+                code = 2 * rng.choice(free) + rng.randint(0, 1)
+                if rng.random() < 0.5:
+                    trail.decide(code)
+                else:
+                    trail.assign(code, None)
+                with pytest.raises(ValueError, match="already assigned"):
+                    trail.assign(code ^ 1, None)
+            elif op < 0.7:
+                if unit_propagate(store, trail) is not None and trail.level > 0:
+                    trail.backjump(rng.randrange(trail.level))
+            else:
+                trail.backjump(rng.randint(0, trail.level))
+            check_views(store, trail)
+            check_watches(store)
+        # no bit of lit survives above the root
+        trail.backjump(0)
+        check_views(store, trail)
+        assert all(trail.level_of[c >> 1] == 0 for c in trail.codes)
+
+
 def test_decision_levels_recorded():
     store = build_store([
         [sl("a", True), sl("b", True)],

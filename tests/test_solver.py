@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cspasp.benchmarks import gen_php, gen_qcp
+from cspasp.benchmarks import gen_ggp_double_wheel, gen_php, gen_qcp
 from cspasp.encoder import EncodingKind, encode
 from cspasp.program import (
     Atom,
@@ -143,6 +143,64 @@ def test_runs_are_deterministic():
     assert first.status == second.status == UNSAT
     for name in ("decisions", "conflicts", "propagations", "restarts", "learned"):
         assert getattr(first.stats, name) == getattr(second.stats, name)
+
+
+# Exact search counters (status, decisions, conflicts, propagations, restarts,
+# learned).  Any change to the decision order, the propagation order, the
+# learned nogoods or the restart schedule moves at least one of them, so a
+# change that claims to keep the search path must keep these.
+PINNED_SEARCHES = [
+    ("php7", "direct", (UNSAT, 786, 692, 8208, 6, 691)),
+    ("php7", "support", (UNSAT, 786, 692, 8172, 6, 691)),
+    ("php7", "bound", (UNSAT, 0, 1, 15, 0, 0)),
+    ("php7", "range", (UNSAT, 0, 1, 7, 0, 0)),
+    ("ggp4", "support", (SAT, 5176, 1647, 55363, 14, 1647)),
+    ("qcp8", "bound", (SAT, 28, 0, 2725, 0, 0)),
+    ("qcp8", "range", (SAT, 28, 0, 2276, 0, 0)),
+]
+PINNED_INSTANCES = {
+    "php7": lambda: gen_php(7),
+    "ggp4": lambda: gen_ggp_double_wheel(4),
+    "qcp8": lambda: gen_qcp(8, 30, 0),  # order 8, 30% filled, seed 0
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind, want", PINNED_SEARCHES, ids=[f"{n}-{k}" for n, k, _ in PINNED_SEARCHES]
+)
+def test_search_counters_are_pinned(name, kind, want):
+    enc = encode(PINNED_INSTANCES[name](), EncodingKind(kind))
+    res = solve(completion_nogoods(enc.program))
+    stats = res.stats
+    got = (res.status, stats.decisions, stats.conflicts, stats.propagations,
+           stats.restarts, stats.learned)
+    assert got == want
+
+
+def test_pick_is_the_least_unassigned_atom_and_the_heap_stays_bounded():
+    search = _Search(php_store(7), SolverConfig())
+    lit = search.trail.lit
+    n_decidable = sum(search.decidable)
+    real_pick = search.pick
+    picks = 0
+
+    def checked_pick():
+        nonlocal picks
+        assert len(search.heap) <= 2 * n_decidable
+        free = [
+            (-search.activity[i], i)
+            for i, dec in enumerate(search.decidable)
+            if dec and not (lit[2 * i] or lit[2 * i + 1])
+        ]
+        idx = real_pick()
+        assert idx == (min(free)[1] if free else None)
+        picks += 1
+        return idx
+
+    search.pick = checked_pick
+    assert search.run() == UNSAT
+    assert search.stats.conflicts == 692
+    assert picks == search.stats.decisions == 786
 
 
 # -- a solved store stays sound ---------------------------------------------------------
