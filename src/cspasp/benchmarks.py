@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -24,9 +25,6 @@ from .csp import (
 )
 from .encoder import EncodingKind, encode, run
 from .errors import CapExceeded
-
-QEP_AXIOMS = ("QG3", "QG4", "QG5", "QG6", "QG7")
-
 
 # -- pigeonhole ------------------------------------------------------------------
 
@@ -84,6 +82,21 @@ def gen_qcp(order: int, fill: int, seed: int, permutation: bool = False) -> CspI
 # -- quasigroup existence ----------------------------------------------------------
 
 
+# Each axiom's defining identity as the three cells its value chain reads,
+# given x, y and the values a (and b) of the cells before.  The cells hold
+# a, b and c; under QG3-QG5 c must be x, under QG6 and QG7 b must equal c.
+_QEP_RESULT_CELLS = {
+    "QG3": lambda x, y, a, b: [(x, y), (y, x), (a, b)],  # (x*y)*(y*x) = x
+    "QG4": lambda x, y, a, b: [(y, x), (x, y), (a, b)],  # (y*x)*(x*y) = x
+    "QG5": lambda x, y, a, b: [(y, x), (a, y), (b, y)],  # ((y*x)*y)*y = x
+}
+_QEP_EQUAL_CELLS = {
+    "QG6": lambda x, y, a: [(x, y), (a, y), (x, a)],  # (x*y)*y = x*(x*y)
+    "QG7": lambda x, y, a: [(y, x), (a, y), (x, a)],  # (y*x)*y = x*(y*x)
+}
+QEP_AXIOMS = (*_QEP_RESULT_CELLS, *_QEP_EQUAL_CELLS)
+
+
 def _qep_raw_constraints(axiom: str, n: int):
     """Yield (cells, forbidden) pairs before scope merging.
 
@@ -92,45 +105,14 @@ def _qep_raw_constraints(axiom: str, n: int):
     defining identity via its value chain.
     """
     rng_n = range(1, n + 1)
-    others = lambda x: [c for c in rng_n if c != x]
-    if axiom in ("QG3", "QG4"):
-        for x in rng_n:
-            for y in rng_n:
-                for a in rng_n:
-                    for b in rng_n:
-                        if axiom == "QG3":
-                            cells = [(x, y), (y, x), (a, b)]
-                        else:
-                            cells = [(y, x), (x, y), (a, b)]
-                        yield cells, [(a, b, c) for c in others(x)]
-    elif axiom == "QG5":
-        # ((y*x)*y)*y = x: a = m(y,x), b = m(a,y), then m(b,y) must be x
-        for x in rng_n:
-            for y in rng_n:
-                for a in rng_n:
-                    for b in rng_n:
-                        cells = [(y, x), (a, y), (b, y)]
-                        yield cells, [(a, b, c) for c in others(x)]
-    elif axiom == "QG6":
-        # (x*y)*y = x*(x*y): with a = m(x,y), m(a,y) must equal m(x,a)
-        for x in rng_n:
-            for y in rng_n:
-                for a in rng_n:
-                    cells = [(x, y), (a, y), (x, a)]
-                    yield cells, [
-                        (a, b, c) for b in rng_n for c in rng_n if b != c
-                    ]
-    elif axiom == "QG7":
-        # (y*x)*y = x*(y*x): with a = m(y,x), m(a,y) must equal m(x, a)
-        for x in rng_n:
-            for y in rng_n:
-                for a in rng_n:
-                    cells = [(y, x), (a, y), (x, a)]
-                    yield cells, [
-                        (a, b, c) for b in rng_n for c in rng_n if b != c
-                    ]
+    if axiom in _QEP_RESULT_CELLS:
+        cells = _QEP_RESULT_CELLS[axiom]
+        for x, y, a, b in itertools.product(rng_n, repeat=4):
+            yield cells(x, y, a, b), [(a, b, c) for c in rng_n if c != x]
     else:
-        raise ValueError(f"unknown axiom {axiom!r}; expected one of {QEP_AXIOMS}")
+        cells = _QEP_EQUAL_CELLS[axiom]
+        for x, y, a in itertools.product(rng_n, repeat=3):
+            yield cells(x, y, a), [(a, b, c) for b in rng_n for c in rng_n if b != c]
 
 
 def _merge_cells(cells, tuples):
@@ -227,6 +209,11 @@ def double_wheel_edges(n: int):
     return edges
 
 
+def double_wheel_nodes(n: int) -> list[str]:
+    """Node names of DW_n: the hub, then the a-cycle and the b-cycle."""
+    return ["hub"] + [f"{prefix}{i}" for prefix in ("a", "b") for i in range(1, n + 1)]
+
+
 def gen_ggp_double_wheel(n: int) -> CspInstance:
     """Graceful labelling of the double wheel DW_n as a CSP.
 
@@ -236,7 +223,7 @@ def gen_ggp_double_wheel(n: int) -> CspInstance:
     """
     edges = double_wheel_edges(n)
     m = 4 * n
-    nodes = ["hub"] + [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
+    nodes = double_wheel_nodes(n)
     variables = [VariableDecl(v, tuple(range(0, m + 1))) for v in nodes]
     variables += [VariableDecl(e, tuple(range(1, m + 1))) for _, _, e in edges]
     constraints = [Constraint(ALLDIFFERENT, tuple(nodes))]
@@ -256,7 +243,7 @@ def verify_graceful(n: int, assignment) -> bool:
     """Check a solved DW_n labelling independently of the encoding."""
     edges = double_wheel_edges(n)
     m = 4 * n
-    nodes = ["hub"] + [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
+    nodes = double_wheel_nodes(n)
     missing = [v for v in nodes + [e for _, _, e in edges] if v not in assignment]
     if missing:
         raise ValueError(f"assignment is missing {missing[0]!r} (and maybe more)")

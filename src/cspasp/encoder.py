@@ -71,7 +71,8 @@ class EncodingKind:
             raise ValueError(f"unknown encoding: {self.name!r}")
         if self.hall_limit is not None:
             if not TRANSLATIONS[self.name].hall:
-                raise ValueError("hall_limit only applies to the bound/range encodings")
+                hall = "/".join(name for name, row in TRANSLATIONS.items() if row.hall)
+                raise ValueError(f"hall_limit only applies to the {hall} encodings")
             if self.hall_limit < 1:
                 raise ValueError("hall_limit must be at least 1")
 
@@ -90,6 +91,9 @@ class EncodingMap:
             decl.name: tuple(v - self.lo + 1 for v in instance.effective_domain(decl.name))
             for decl in instance.variables
         }
+        # every atom built for this encoding, keyed by (predicate, *args):
+        # the rules name each atom many times, and the table goes with them
+        self.atoms: dict[tuple, Atom] = {}
 
     def internal(self, value: int) -> int:
         return value - self.lo + 1
@@ -101,14 +105,20 @@ class EncodingMap:
         vals = self.values[name]
         return vals[0], vals[-1]
 
+    def _atom(self, *key) -> Atom:
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(key[0], key[1:])
+        return atom
+
     def e_atom(self, name: str, i: int) -> Atom:
-        return Atom("e", (name, i))
+        return self._atom("e", name, i)
 
     def b_atom(self, name: str, i: int) -> Atom:
-        return Atom("b", (name, i))
+        return self._atom("b", name, i)
 
     def r_atom(self, name: str, l: int, u: int) -> Atom:
-        return Atom("r", (name, l, u))
+        return self._atom("r", name, l, u)
 
 
 @dataclass
@@ -350,8 +360,9 @@ def _define_interval_atoms(emap, rules):
     that the counting rules read; the completion of that one rule ties
     the atom to both endpoints."""
     b = emap.b_atom
-    linked = {lit.atom.args for rule in rules if isinstance(rule, CardinalityRule)
-              for lit in rule.literals}
+    read = {lit.atom for rule in rules if isinstance(rule, CardinalityRule)
+            for lit in rule.literals}
+    linked = [key[1:] for key, atom in emap.atoms.items() if key[0] == "r" and atom in read]
     rank = {name: k for k, name in enumerate(emap.values)}  # declaration order
     return [
         NormalRule(emap.r_atom(name, l, u),

@@ -12,33 +12,29 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 from .propagation import BodyId, NogoodStore
-from .text import ATOM_PARTS, GROUND, INT, NAME, Tokens
+from .text import GROUND, INT, NAME, Tokens
 
 
-class Atom:
-    """Interned ground atom: ``name`` or ``name(arg, ...)``.
+class Atom(str):
+    """Ground atom ``name`` or ``name(arg,...,arg)``, as that text.
 
-    Atoms are pooled on (name, args), so equality is identity and the
-    default hash applies.  Args are ints or bare names.
+    An atom is its canonical spelling, so atoms compare and hash as
+    strings and nothing keeps them alive once no program holds them.
+    Args are ints or bare names.
     """
 
-    __slots__ = ("name", "args")
-    _pool: dict = {}
+    __slots__ = ()
 
     def __new__(cls, name: str, args: tuple = ()):
-        args = tuple(args)
-        atom = cls._pool.get((name, args))
-        if atom is None:
-            atom = super().__new__(cls)
-            atom.name = name
-            atom.args = args
-            cls._pool[(name, args)] = atom
-        return atom
+        if args:
+            name = "%s(%s)" % (name, ",".join(map(str, args)))
+        return super().__new__(cls, name)
 
-    def __repr__(self):
-        if not self.args:
-            return self.name
-        return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
+    __repr__ = str.__str__
+
+    @property
+    def name(self) -> str:
+        return self.partition("(")[0]
 
 
 class Lit(NamedTuple):
@@ -48,7 +44,7 @@ class Lit(NamedTuple):
     positive: bool = True
 
     def __repr__(self):
-        return repr(self.atom) if self.positive else "not " + repr(self.atom)
+        return self.atom if self.positive else "not " + self.atom
 
 
 def pos(atom: Atom) -> Lit:
@@ -345,10 +341,10 @@ def emit_ground(program: GroundProgram) -> str:
 def _emit_rule(rule: Rule) -> str:
     if isinstance(rule, NormalRule):
         if rule.body:
-            return "%r :- %s." % (rule.head, _emit_body(rule.body))
-        return "%r." % (rule.head,)
+            return "%s :- %s." % (rule.head, _emit_body(rule.body))
+        return rule.head + "."
     if isinstance(rule, ChoiceRule):
-        heads = "; ".join(repr(h) for h in rule.heads)
+        heads = "; ".join(rule.heads)
         if rule.body:
             return "{%s} :- %s." % (heads, _emit_body(rule.body))
         return "{%s}." % heads
@@ -357,13 +353,12 @@ def _emit_rule(rule: Rule) -> str:
             return ":- %s." % _emit_body(rule.body)
         return ":- ."
     if isinstance(rule, CardinalityRule):
-        lits = "; ".join(repr(l) for l in rule.literals)
-        return ":- %d {%s}." % (rule.bound, lits)
+        return ":- %d {%s}." % (rule.bound, "; ".join(map(repr, rule.literals)))
     raise TypeError(f"not a ground rule: {rule!r}")
 
 
 def _emit_body(body) -> str:
-    return ", ".join(repr(l) for l in body)
+    return ", ".join(map(repr, body))
 
 
 def parse_ground(text: str) -> GroundProgram:
@@ -442,14 +437,15 @@ def _parse_atom(toks: Tokens, atoms: dict) -> Atom:
 
 
 def _new_atom(toks: Tokens, tok: str) -> Atom:
-    """The atom that ``tok``, the token read last, spells."""
-    parts = ATOM_PARTS.findall(tok)
-    name = parts[0][1] if parts else ""  # empty for punctuation and integers
-    if name in ("", "not"):
+    """The atom that ``tok``, the token read last, spells: its text without
+    blanks and with each integer argument written as ``str(int(arg))``."""
+    name, _, args = "".join(tok.split()).partition("(")
+    if not NAME.match(name) or name == "not":  # punctuation and integers
         raise toks.error_at_last(f"expected atom name, found {tok!r}")
     if tok[-1] == "(":
         raise _bad_arguments(toks)
-    return Atom(name, tuple(int(i) if i else n for i, n in parts[1:]))
+    args = args[:-1].split(",") if args else ()
+    return Atom(name, tuple(arg if NAME.match(arg) else int(arg) for arg in args))
 
 
 def _bad_arguments(toks: Tokens) -> ValueError:

@@ -21,8 +21,6 @@ INT = re.compile(r"-?\d+\Z")
 _NAME = r"[A-Za-z_]\w*"
 _ARG = rf"(?:-?\d+|{_NAME})"
 _ATOM = rf"{_NAME}(?:\s*\((?:\s*{_ARG}(?:\s*,\s*{_ARG})*\s*\))?)?"
-#: an atom token's name and arguments in order, as (integer, name) pairs
-ATOM_PARTS = re.compile(rf"(-?\d+)|({_NAME})")
 
 
 class Lexer(NamedTuple):

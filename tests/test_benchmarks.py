@@ -1,5 +1,6 @@
 """Benchmark families and the suite runner."""
 
+import hashlib
 import random
 
 import pytest
@@ -134,6 +135,28 @@ def test_qep_row_and_column_structure():
     tables = [c for c in inst.constraints if c.kind == TABLE and len(c.scope) > 1]
     assert tables, "axiom expansion should leave table constraints"
     assert all(c.polarity == "forbidden" for c in tables)
+
+
+# sha256 of format_instance(gen_qep(axiom, order)): the generator's
+# output, byte for byte, for every axiom at two orders
+QEP_SHA256 = {
+    ("QG3", 4): "aefa5725fe8a76bcaae041c0d0a4a273ce9e63dc35094ecdfb732905df31d2c1",
+    ("QG3", 5): "1f8a34be1f102c697ebeb9f0118af89a52059d5c18cbf3169905916dd3f604ef",
+    ("QG4", 4): "1cd893e10a8318489b7288ee577d8b67eab43ce4492440345f141890a9bc97c1",
+    ("QG4", 5): "92973e1f735a40b5590064488c4b172b9240fb862b77bccb7ed39218498780a9",
+    ("QG5", 4): "08e8ffab8dc1e4bd893a66b4550e2c28678c4672827b10898f8706b9513729bb",
+    ("QG5", 5): "c0a58663e10e3e798a4e06425b57c6504c6b1c3adf5b177a316db8e6fcc9cc44",
+    ("QG6", 4): "44ae244ae7a94fc466acc5fc0b5de51ef86e9c085478ad3082d2d30ea03869fd",
+    ("QG6", 5): "7cd3f74a425db4bb352221e4a3408382c5a1ff8abb407c56df69c52993f9ce66",
+    ("QG7", 4): "669566e7d030a49907501c33c4eab9f5dee6156ed3cf6706918170e1119fabf4",
+    ("QG7", 5): "3b6758974eca42be8804ba4e42c7a492bbfa147878cc555943f52cae7ba162df",
+}
+
+
+@pytest.mark.parametrize("key", sorted(QEP_SHA256), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_qep_instances_match_their_golden_digests(key):
+    text = format_instance(gen_qep(*key))
+    assert hashlib.sha256(text.encode()).hexdigest() == QEP_SHA256[key]
 
 
 @pytest.mark.parametrize("axiom", QEP_AXIOMS)

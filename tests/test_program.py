@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -45,11 +46,14 @@ def lits(*pairs):
 # -- atoms and rules ------------------------------------------------------------
 
 
-def test_atoms_are_interned():
-    assert Atom("p", (1, 2)) is Atom("p", (1, 2))
-    assert Atom("p", (1,)) is not Atom("p", (2,))
-    assert repr(Atom("p", (1, "x"))) == "p(1,x)"
+def test_atoms_are_their_text():
+    assert Atom("p", (1, 2)) == Atom("p", (1, 2)) == "p(1,2)"
+    assert hash(Atom("p", (1, 2))) == hash("p(1,2)")
+    assert Atom("p", (1,)) != Atom("p", (2,))
+    assert Atom("p", (1, "x")) == "p(1,x)"
+    assert repr(Atom("p", (1, "x"))) == str(Atom("p", (1, "x"))) == "p(1,x)"
     assert repr(Atom("p")) == "p"
+    assert Atom("p", (1, "x")).name == Atom("p").name == "p"
 
 
 def test_choice_rule_validation():
@@ -540,6 +544,39 @@ def test_atom_tokens_allow_blanks_between_their_parts():
     for spelling in ("b(x_1_1,-1)", "b( x_1_1 , -1 )", "b\t(x_1_1 ,-1)", "b (x_1_1, -01)"):
         assert parse_ground(spelling + ".") == GroundProgram((NormalRule(atom),))
     assert parse_ground("a :- not  b(1).").rules[0].body == (Lit(Atom("b", (1,)), False),)
+
+
+def test_dropped_programs_leave_no_atoms_behind():
+    # every atom name is new, so a table of atoms kept past its program
+    # would grow by all of them
+    def round_trip(tag):
+        atoms = [Atom(f"fresh_{tag}", (i, "x")) for i in range(5000)]
+        program = GroundProgram([ChoiceRule(tuple(atoms))]
+                                + [NormalRule(atom, (Lit(a, False),)) for atom in atoms])
+        assert parse_ground(emit_ground(program)) == program
+
+    round_trip("warm_up")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for tag in range(4):
+            round_trip(tag)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000, kept  # bytes; 20,000 pooled atoms hold megabytes
+
+
+def test_parse_ground_spells_each_atom_one_way():
+    # blanks go and integer arguments are read as integers, so leading
+    # zeros and a minus zero name the same atom as the plain integer
+    program = parse_ground("p( 007 , x ) :- p(7,x).\np(-0).\n")
+    head, body = program.rules[0].head, program.rules[0].body[0].atom
+    assert head == body == Atom("p", (7, "x"))
+    assert program.atoms() == (Atom("p", (7, "x")), Atom("p", (0,)))
+    assert emit_ground(program) == "p(7,x) :- p(7,x).\np(0).\n"
 
 
 def test_parse_ground_leaves_no_state_between_calls():

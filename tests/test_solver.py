@@ -1,9 +1,14 @@
 """Conflict-driven search: restarts, learning, enumeration, budgets."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cspasp
 from cspasp.benchmarks import gen_ggp_double_wheel, gen_php, gen_qcp
 from cspasp.encoder import EncodingKind, encode
 from cspasp.program import (
@@ -143,6 +148,39 @@ def test_runs_are_deterministic():
     assert first.status == second.status == UNSAT
     for name in ("decisions", "conflicts", "propagations", "restarts", "learned"):
         assert getattr(first.stats, name) == getattr(second.stats, name)
+
+
+# One pipeline run's full output: the emitted program, the completion's
+# nogoods and the search counters, printed in that order.
+_PIPELINE_SCRIPT = """
+from cspasp.benchmarks import gen_php, gen_qcp
+from cspasp.encoder import EncodingKind, encode
+from cspasp.program import completion_nogoods, emit_ground
+from cspasp.propagation import dump_nogoods
+from cspasp.solver import solve
+
+for instance, kind in ((gen_qcp(6, 30, 0), "bound"), (gen_php(6), "support")):
+    program = encode(instance, EncodingKind(kind)).program
+    print(emit_ground(program))
+    store = completion_nogoods(program)
+    print(dump_nogoods(store))
+    stats = solve(store).stats
+    print(stats.decisions, stats.conflicts, stats.propagations)
+"""
+
+
+def test_string_hash_salt_does_not_reach_the_output():
+    # atoms hash as strings, whose hashes change with PYTHONHASHSEED; no
+    # set or dict order over atoms may show in what a run produces
+    src = str(Path(cspasp.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT], env=env,
+                              capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) > 1000
 
 
 # Exact search counters (status, decisions, conflicts, propagations, restarts,
