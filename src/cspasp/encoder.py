@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,12 +39,11 @@ from .program import (
     ChoiceRule,
     GroundProgram,
     IntegrityRule,
+    LitTable,
     NormalRule,
     completion_nogoods,
     make_cardinality,
-    neg,
     normalize_cardinality,  # not called here; perfbench's trace_nested rebinds it
-    pos,
 )
 from .propagation import BodyId, SignedLiteral, Trail, unit_propagate
 from .solver import SAT, UNKNOWN, UNSAT, SolverConfig, enumerate_models
@@ -78,7 +78,8 @@ class EncodingKind:
 
 
 class EncodingMap:
-    """Map from variables and their values to the encoding's atoms."""
+    """Map from variables and their values to the encoding's atoms and
+    literals."""
 
     def __init__(self, instance: CspInstance):
         union: set[int] = set()
@@ -94,6 +95,8 @@ class EncodingMap:
         # every atom built for this encoding, keyed by (predicate, *args):
         # the rules name each atom many times, and the table goes with them
         self.atoms: dict[tuple, Atom] = {}
+        # one literal object per atom and sign, shared by every rule
+        self.lits = LitTable()
 
     def internal(self, value: int) -> int:
         return value - self.lo + 1
@@ -154,7 +157,7 @@ class Translation:
     value: Callable  # (emap, name, i) -> the atom for value i of a variable
     domain: Callable  # (emap, name) -> the rules for one variable's domain
     count: Callable  # (emap, c, hall_limit) -> rules for all-different/permutation
-    table: Callable  # (emap, c, found) -> rules for a table; found shares boxes
+    table: Callable  # (emap, c, found) -> rules for a table; see _table for found
     level: str  # the consistency level `cspasp check` holds propagation to
     hall: bool = False  # whether a Hall limit applies
     close: Callable | None = None  # (emap, rules) -> rules posted after the rest
@@ -184,14 +187,15 @@ def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
 def _value_domain(emap, name):
     atoms = [emap.e_atom(name, i) for i in emap.values[name]]
     yield ChoiceRule(tuple(atoms))
-    yield IntegrityRule(tuple(neg(a) for a in atoms))
-    card = make_cardinality(2, tuple(pos(a) for a in atoms))
+    yield IntegrityRule(tuple(map(emap.lits.neg, atoms)))
+    card = make_cardinality(2, tuple(map(emap.lits.pos, atoms)))
     if card is not None:
         yield card
 
 
 def _direct_distinct(emap, c, hall_limit):
     """Pairwise conflict rules over shared values."""
+    pos = emap.lits.pos
     for a, b in itertools.combinations(c.scope, 2):
         for i in sorted(set(emap.values[a]) & set(emap.values[b])):
             yield IntegrityRule((pos(emap.e_atom(a, i)), pos(emap.e_atom(b, i))))
@@ -200,6 +204,7 @@ def _direct_distinct(emap, c, hall_limit):
 def _support_distinct(emap, c, hall_limit):
     """Per-value at-most-one cardinality rules; permutations also demand
     every value be taken by someone."""
+    pos, neg = emap.lits.pos, emap.lits.neg
     memb = {v: set(emap.values[v]) for v in c.scope}
     union = sorted(set().union(*memb.values()))
     for i in union:
@@ -212,48 +217,26 @@ def _support_distinct(emap, c, hall_limit):
             yield IntegrityRule(tuple(neg(emap.e_atom(v, i)) for v in c.scope if i in memb[v]))
 
 
-def _table_tuples(emap, c, polarity):
-    """The assignable tuples that are ``polarity`` under the constraint,
-    sorted, in internal coordinates.
-
-    The tuples of the other polarity are complemented against the
-    product of the initial domains (capped); tuples of the same polarity
-    are filtered to those that are actually assignable.
-    """
-    domains = [emap.values[v] for v in c.scope]
-    membs = [set(dom) for dom in domains]
-    listed = set()
-    for t in c.tuples:
-        it = tuple(emap.internal(x) for x in t)
-        if all(x in memb for x, memb in zip(it, membs)):
-            listed.add(it)
-    if c.polarity == polarity:
-        return sorted(listed)
-    size = math.prod(len(d) for d in domains)
-    if size > TABLE_COMPLEMENT_CAP:
-        raise CapExceeded(f"complementing a {c.polarity} table needs {size} candidate tuples")
-    return [t for t in itertools.product(*domains) if t not in listed]
+def _value_lits(emap, c, lit):
+    """Per scope position, ``lit`` of each e(v,i) keyed by the value i,
+    so that a tuple's literals are one lookup per position."""
+    return [{i: lit(emap.e_atom(v, i)) for i in emap.values[v]} for v in c.scope]
 
 
 def _direct_table(emap, c, found):
-    for t in _table_tuples(emap, c, "forbidden"):
-        yield IntegrityRule(tuple(pos(emap.e_atom(v, x)) for v, x in zip(c.scope, t)))
+    lits = _value_lits(emap, c, emap.lits.pos)
+    for t in _table(emap, c, found).forbidden:
+        yield IntegrityRule(tuple(map(operator.getitem, lits, t)))
 
 
 def _support_table(emap, c, found):
-    arity = len(c.scope)
-    if arity >= 2:
-        allowed = _table_tuples(emap, c, "allowed")
-        for vi, v in enumerate(c.scope):
-            for wi, w in enumerate(c.scope):
-                if v == w:
-                    continue
-                for i in emap.values[v]:
-                    supports = sorted({t[wi] for t in allowed if t[vi] == i})
-                    body = [pos(emap.e_atom(v, i))]
-                    body.extend(neg(emap.e_atom(w, j)) for j in supports)
-                    yield IntegrityRule(tuple(body))
-    if arity != 2:
+    if len(c.scope) >= 2:
+        pos = _value_lits(emap, c, emap.lits.pos)
+        neg = _value_lits(emap, c, emap.lits.neg)
+        for (vi, wi), supports in _table(emap, c, found).supports.items():
+            for i, js in supports.items():
+                yield IntegrityRule((pos[vi][i],) + tuple(map(neg[wi].__getitem__, js)))
+    if len(c.scope) != 2:
         # the direct form; on wide tables it backs up the pairwise
         # support rules, which alone cannot reject every tuple
         yield from _direct_table(emap, c, found)
@@ -268,6 +251,7 @@ def _range_domain(emap, name):
     r(v,hi+1,d) and r(v,i,i) for each interior hole i are false."""
     d = emap.d
     r = emap.r_atom
+    pos, neg = emap.lits.pos, emap.lits.neg
     for l in range(1, d + 1):
         for u in range(l, d + 1):
             body = []
@@ -292,7 +276,8 @@ def _range_domain(emap, name):
 
 
 def _range_table(emap, c, found):
-    for box in _table_boxes(emap, c, found):
+    pos = emap.lits.pos
+    for box in _table(emap, c, found).boxes:
         yield IntegrityRule(tuple(pos(emap.r_atom(v, l, u)) for v, (l, u) in zip(c.scope, box)))
 
 
@@ -305,6 +290,7 @@ def _interval_count_rules(emap, c, hall_limit):
     share, so too many variables *outside* [l,u] is a conflict as well.
     """
     r = emap.r_atom
+    pos, neg = emap.lits.pos, emap.lits.neg
     d = emap.d
     intervals = [
         (l, u)
@@ -334,6 +320,7 @@ def _bound_domain(emap, name):
     holds, b(v,lo-1) does not, and no interior hole i has b(v,i) without
     b(v,i-1)."""
     b = emap.b_atom
+    pos, neg = emap.lits.pos, emap.lits.neg
     yield ChoiceRule(tuple(b(name, i) for i in range(1, emap.d + 1)))
     for i in range(1, emap.d):
         yield IntegrityRule((pos(b(name, i)), neg(b(name, i + 1))))
@@ -346,7 +333,8 @@ def _bound_domain(emap, name):
 
 
 def _bound_table(emap, c, found):
-    for box in _table_boxes(emap, c, found):
+    pos, neg = emap.lits.pos, emap.lits.neg
+    for box in _table(emap, c, found).boxes:
         body = []
         for v, (l, u) in zip(c.scope, box):
             body.append(pos(emap.b_atom(v, u)))
@@ -360,6 +348,7 @@ def _define_interval_atoms(emap, rules):
     that the counting rules read; the completion of that one rule ties
     the atom to both endpoints."""
     b = emap.b_atom
+    pos, neg = emap.lits.pos, emap.lits.neg
     read = {lit.atom for rule in rules if isinstance(rule, CardinalityRule)
             for lit in rule.literals}
     linked = [key[1:] for key, atom in emap.atoms.items() if key[0] == "r" and atom in read]
@@ -386,28 +375,94 @@ TRANSLATIONS = {
 ENCODING_NAMES = tuple(TRANSLATIONS)
 
 
-# -- table boxes -----------------------------------------------------------------
+# -- table analysis ----------------------------------------------------------------
 
 
-def _table_boxes(emap, c, found: dict):
-    """Maximal all-violating boxes of a table, in internal coordinates.
+def _table(emap, c, found: dict) -> _TableTuples:
+    """``c``'s tuples and what the translations derive from them.
 
-    A box assigns each scope variable an interval inside its initial
-    hull; it is all-violating when no contained point satisfies the
-    constraint (window points outside a variable's actual domain cannot
-    be taken, so they count as violating).  Posting one conflict rule
-    per *maximal* such box rejects every forbidden tuple while keeping
-    the rule count small.  ``found`` holds the boxes already computed in
-    this encode call, keyed on (windows, allowed tuples): tables that
-    share that signature, such as the edge tables of a ggp wheel, share
-    their boxes.
+    ``found`` holds the analyses already made in this encode call, keyed
+    on the signature (scope domains, polarity, tuples): tables that share
+    it, such as the edge tables of a ggp wheel, share one analysis.
     """
-    windows = tuple(emap.window(v) for v in c.scope)
-    points = tuple(_table_tuples(emap, c, "allowed"))
-    boxes = found.get((windows, points))
-    if boxes is None:
-        boxes = found[windows, points] = _maximal_empty_boxes(points, windows)
-    return boxes
+    key = (tuple(emap.values[v] for v in c.scope), c.polarity, c.tuples)
+    table = found.get(key)
+    if table is None:
+        table = found[key] = _table_tuples(emap, c)
+    return table
+
+
+def _table_tuples(emap, c) -> _TableTuples:
+    """The analysis of ``c``: its listed tuples in internal coordinates,
+    kept only where every value is in its variable's initial domain."""
+    domains = [emap.values[v] for v in c.scope]
+    membs = [set(dom) for dom in domains]
+    listed = set()
+    for t in c.tuples:
+        it = tuple(emap.internal(x) for x in t)
+        if all(x in memb for x, memb in zip(it, membs)):
+            listed.add(it)
+    return _TableTuples(domains, c.polarity, listed)
+
+
+@dataclass
+class _TableTuples:
+    """A table's assignable tuples in internal coordinates and what the
+    translations derive from them, each part computed on first use."""
+
+    domains: list[tuple[int, ...]]  # each scope position's internal values
+    polarity: str
+    listed: set[tuple[int, ...]]  # the table's own tuples that are assignable
+
+    def _of(self, polarity):
+        """The assignable tuples that are ``polarity``, sorted.  The
+        tuples of the other polarity are complemented against the product
+        of the initial domains (capped); tuples of the same polarity are
+        the listed ones."""
+        if polarity == self.polarity:
+            return sorted(self.listed)
+        size = math.prod(map(len, self.domains))
+        if size > TABLE_COMPLEMENT_CAP:
+            raise CapExceeded(f"complementing a {self.polarity} table needs {size} candidate tuples")
+        return [t for t in itertools.product(*self.domains) if t not in self.listed]
+
+    @cached_property
+    def allowed(self) -> list[tuple[int, ...]]:
+        return self._of("allowed")
+
+    @cached_property
+    def forbidden(self) -> list[tuple[int, ...]]:
+        return self._of("forbidden")
+
+    @cached_property
+    def supports(self) -> dict[tuple[int, int], dict[int, list[int]]]:
+        """For each ordered pair (vi, wi) of scope positions, each value i
+        at vi mapped to the sorted values at wi that allowed tuples pair
+        with it (its supports)."""
+        out = {}
+        for vi, dom in enumerate(self.domains):
+            for wi in range(len(self.domains)):
+                if wi == vi:
+                    continue
+                seen = {i: set() for i in dom}
+                for t in self.allowed:
+                    seen[t[vi]].add(t[wi])
+                out[vi, wi] = {i: sorted(js) for i, js in seen.items()}
+        return out
+
+    @cached_property
+    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
+        """Maximal all-violating boxes, in internal coordinates.
+
+        A box assigns each scope variable an interval inside its initial
+        hull; it is all-violating when no contained point satisfies the
+        constraint (window points outside a variable's actual domain
+        cannot be taken, so they count as violating).  Posting one
+        conflict rule per *maximal* such box rejects every forbidden
+        tuple while keeping the rule count small.
+        """
+        windows = tuple((dom[0], dom[-1]) for dom in self.domains)
+        return _maximal_empty_boxes(tuple(self.allowed), windows)
 
 
 def _maximal_empty_boxes(points, windows):

@@ -47,12 +47,31 @@ class Lit(NamedTuple):
         return self.atom if self.positive else "not " + self.atom
 
 
-def pos(atom: Atom) -> Lit:
-    return Lit(atom, True)
+class LitTable:
+    """One ``Lit`` per atom and sign, built on first use.
 
+    The rules that hold a literal then share one object, so a program
+    keeps as many literal objects as it has distinct literals, not one
+    per occurrence.  The table lives as long as its keeper.
+    """
 
-def neg(atom: Atom) -> Lit:
-    return Lit(atom, False)
+    __slots__ = ("_pos", "_neg")
+
+    def __init__(self):
+        self._pos: dict[Atom, Lit] = {}
+        self._neg: dict[Atom, Lit] = {}
+
+    def pos(self, atom: Atom) -> Lit:
+        lit = self._pos.get(atom)
+        if lit is None:
+            lit = self._pos[atom] = Lit(atom, True)
+        return lit
+
+    def neg(self, atom: Atom) -> Lit:
+        lit = self._neg.get(atom)
+        if lit is None:
+            lit = self._neg[atom] = Lit(atom, False)
+        return lit
 
 
 @dataclass(frozen=True)
@@ -365,18 +384,20 @@ def parse_ground(text: str) -> GroundProgram:
     """Parse the ground text format; ``%`` comments and blank lines skipped.
 
     Each atom token becomes an ``Atom`` through a table keyed by the
-    token's text, so each spelling of an atom is built once per call.
+    token's text, so each spelling of an atom is built once per call, and
+    each literal a ``Lit`` from one ``LitTable`` per call.
     """
     toks = Tokens(text, GROUND)
     atoms: dict[str, Atom] = {}
+    lits = LitTable()
     rules: list[Rule] = []
     for _ in toks.statements():
-        rules.append(_parse_statement(toks, atoms))
+        rules.append(_parse_statement(toks, atoms, lits))
         toks.expect(".")
     return GroundProgram(rules)
 
 
-def _parse_statement(toks: Tokens, atoms: dict) -> Rule:
+def _parse_statement(toks: Tokens, atoms: dict, lits: LitTable) -> Rule:
     """One rule, read up to its closing ``.``."""
     tok = toks.peek()
     if tok == "{":
@@ -389,7 +410,7 @@ def _parse_statement(toks: Tokens, atoms: dict) -> Rule:
         body: tuple[Lit, ...] = ()
         if toks.peek() == ":-":
             toks.next()
-            body = _parse_body(toks, atoms)
+            body = _parse_body(toks, atoms, lits)
         return toks.build(ChoiceRule, tuple(heads), body)
     if tok == ":-":
         toks.next()
@@ -399,33 +420,33 @@ def _parse_statement(toks: Tokens, atoms: dict) -> Rule:
         if nxt is not None and INT.match(nxt):
             bound = int(toks.next())
             toks.expect("{")
-            lits = [_parse_literal(toks, atoms)]
+            card = [_parse_literal(toks, atoms, lits)]
             while toks.peek() == ";":
                 toks.next()
-                lits.append(_parse_literal(toks, atoms))
+                card.append(_parse_literal(toks, atoms, lits))
             toks.expect("}")
-            return toks.build(CardinalityRule, bound, tuple(lits))
-        return IntegrityRule(_parse_body(toks, atoms))
+            return toks.build(CardinalityRule, bound, tuple(card))
+        return IntegrityRule(_parse_body(toks, atoms, lits))
     head = _parse_atom(toks, atoms)
     if toks.peek() == ":-":
         toks.next()
-        return NormalRule(head, _parse_body(toks, atoms))
+        return NormalRule(head, _parse_body(toks, atoms, lits))
     return NormalRule(head, ())
 
 
-def _parse_body(toks: Tokens, atoms: dict) -> tuple[Lit, ...]:
-    lits = [_parse_literal(toks, atoms)]
+def _parse_body(toks: Tokens, atoms: dict, lits: LitTable) -> tuple[Lit, ...]:
+    body = [_parse_literal(toks, atoms, lits)]
     while toks.peek() == ",":
         toks.next()
-        lits.append(_parse_literal(toks, atoms))
-    return tuple(lits)
+        body.append(_parse_literal(toks, atoms, lits))
+    return tuple(body)
 
 
-def _parse_literal(toks: Tokens, atoms: dict) -> Lit:
+def _parse_literal(toks: Tokens, atoms: dict, lits: LitTable) -> Lit:
     if toks.peek() == "not":
         toks.next()
-        return Lit(_parse_atom(toks, atoms), False)
-    return Lit(_parse_atom(toks, atoms), True)
+        return lits.neg(_parse_atom(toks, atoms))
+    return lits.pos(_parse_atom(toks, atoms))
 
 
 def _parse_atom(toks: Tokens, atoms: dict) -> Atom:

@@ -34,13 +34,15 @@ from cspasp.encoder import (
 )
 from cspasp.program import (
     Atom,
+    CardinalityRule,
     IntegrityRule,
+    Lit,
     completion_nogoods,
     emit_ground,
     is_tight,
-    pos,
+    parse_ground,
 )
-from cspasp.propagation import BodyId, SignedLiteral
+from cspasp.propagation import BodyId, SignedLiteral, dump_nogoods
 from cspasp.solver import enumerate_models
 
 from .helpers import check_trail
@@ -554,9 +556,9 @@ def test_wide_forbidden_table_gives_one_box_rule(kind):
     extra = [rule for rule in with_table if rule not in without]
     assert len(with_table) == len(without) + 1
     if kind == "range":
-        want = tuple(pos(Atom("r", (v, 1, 1))) for v in ("x", "y", "z"))
+        want = tuple(Lit(Atom("r", (v, 1, 1))) for v in ("x", "y", "z"))
     else:
-        want = tuple(pos(Atom("b", (v, 1))) for v in ("x", "y", "z"))
+        want = tuple(Lit(Atom("b", (v, 1))) for v in ("x", "y", "z"))
     assert extra == [IntegrityRule(want)]
 
 
@@ -577,7 +579,7 @@ def test_ggp5_tables_get_maximal_empty_boxes():
     emap = enc.emap
     windows = tuple(emap.window(v) for v in c.scope)
     sat = {tuple(emap.internal(x) for x in t) for t in c.tuples}
-    boxes = encoder._table_boxes(emap, c, {})
+    boxes = encoder._table(emap, c, {}).boxes
     covered = set()
     for box in boxes:
         inside = set(box_cells(box))
@@ -602,6 +604,24 @@ def test_tables_of_one_signature_share_their_boxes(monkeypatch):
 
     monkeypatch.setattr(encoder, "_maximal_empty_boxes", counted)
     encode(gen_ggp_double_wheel(4), EncodingKind("bound"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["direct", "support"])
+def test_tables_of_one_signature_share_their_tuples(kind, monkeypatch):
+    # support reads both the allowed and the forbidden tuples of each of
+    # the 16 edge tables; one analysis serves all of them
+    calls = []
+    analyse = encoder._table_tuples
+
+    def counted(emap, c):
+        calls.append(c.scope)
+        return analyse(emap, c)
+
+    monkeypatch.setattr(encoder, "_table_tuples", counted)
+    inst = gen_ggp_double_wheel(4)
+    encode(inst, EncodingKind(kind))
+    assert sum(c.kind == TABLE for c in inst.constraints) == 16
     assert len(calls) == 1
 
 
@@ -659,3 +679,56 @@ def test_programs_match_their_golden_digests(key):
     enc = encode(parse_instance(GOLDEN_INSTANCES[instance]), EncodingKind(name, hall))
     text = emit_ground(enc.program)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[key]
+
+
+# sha256 of each golden program's completed store, as `--emit-nogoods` writes it
+GOLDEN_STORE_SHA256 = {
+    ("permutation", "direct", None): "00be0e454e58d670042649bf5274c49466fa3bfba2272dc6de5765588dd37ce8",
+    ("permutation", "support", None): "971ae0d0b7de61e07e2f92864db2158504e48c6f442ece4e7b9fb7f535956d27",
+    ("permutation", "bound", None): "e39d85008d4f341ad68f402bd88fac1e0f51e992caf43b6ff65bb51f8b3719a2",
+    ("permutation", "range", None): "cc4236f8a0efe019a2d5fc5e0b49227167d5f88360a8b0f2bc6339ad2550568e",
+    ("permutation", "bound", 1): "f03d882c6f70b6c845f8156cfd665867409a7ea8fa46cbeec7e38576796c0f7e",
+    ("permutation", "range", 1): "de956944d1682353e0ebc50112d8651bb909d25d0c10b696364f03e22d53be58",
+    ("tables", "direct", None): "86854964ad9b0139c6d8f91d12e86f659e7e051ed7344a39f01c20ed3cac54c4",
+    ("tables", "support", None): "b4aa237605b0a1eb2eb5cbdb9eb5529df74dfb7c84e5f9bb622e5f4978efd6b7",
+    ("tables", "bound", None): "19091ac08363adf227da9436a0daf0ca4080ae583204e6287b85889265cfeea8",
+    ("tables", "range", None): "3177f821c303d5b1f68e1b8ec919579817668d91838a852a22e57b2d89015951",
+    ("tables", "bound", 1): "f45a3acbaf39fd11a2a750d73e869b2bbad4761a1c6d776303dfe4795240f5bb",
+    ("tables", "range", 1): "e94779b92a80a57917a163e3617307e69d313a44c128d8220e668fa8ef2ad754",
+}
+
+
+def literal_objects(program):
+    """Each literal occurrence of the program's bodies and cardinality rules."""
+    for rule in program:
+        yield from rule.literals if isinstance(rule, CardinalityRule) else getattr(rule, "body", ())
+
+
+@pytest.mark.parametrize(
+    "instance, name",
+    [("tables", name) for name in ENCODING_NAMES] + [("ggp4", "support")],
+)
+def test_each_literal_is_one_object(instance, name):
+    if instance == "ggp4":
+        inst = gen_ggp_double_wheel(4)
+    else:
+        inst = parse_instance(GOLDEN_INSTANCES[instance])
+    program = encode(inst, EncodingKind(name)).program
+    for prog in (program, parse_ground(emit_ground(program))):
+        occurrences = list(literal_objects(prog))
+        assert len({id(lit) for lit in occurrences}) == len(set(occurrences))
+    if instance == "ggp4":
+        assert len(set(occurrences)) == 818
+        assert len(occurrences) > 200_000
+
+
+@pytest.mark.parametrize("key", GOLDEN_STORE_SHA256, ids=lambda key: "-".join(map(str, key)))
+def test_completed_stores_match_their_golden_digests(key):
+    # the reparsed program holds literal objects of its own, so this also
+    # checks that completion reads literals by value, not by identity
+    instance, name, hall = key
+    enc = encode(parse_instance(GOLDEN_INSTANCES[instance]), EncodingKind(name, hall))
+    dump = dump_nogoods(completion_nogoods(enc.program))
+    assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_STORE_SHA256[key]
+    reparsed = parse_ground(emit_ground(enc.program))
+    assert dump_nogoods(completion_nogoods(reparsed)) == dump
