@@ -187,7 +187,7 @@ def _cmd_check(args) -> int:
         _require_at_least(flag, value, least)
     kind = _kind(args)
     level = args.level or TRANSLATIONS[kind.name].level
-    hole_free = kind.name == "bound"
+    hole_free = TRANSLATIONS[kind.name].order  # order encodings see only a state's ends
     rng = random.Random(f"check:{args.seed}")
     agreed = skipped = 0
     for trial in range(args.trials):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,6 @@ from .csp import (
     CspInstance,
     DomainState,
     check_solution,
-    validate_state,
 )
 from .errors import CapExceeded
 from .program import (
@@ -133,15 +133,19 @@ class Encoding:
     emap: EncodingMap
     program: GroundProgram
 
+    @property
+    def row(self) -> Translation:
+        return TRANSLATIONS[self.kind.name]
+
     def value_atom(self, name: str, i: int) -> Atom:
         """The atom for internal value i of a variable: e(v,i) and r(v,i,i)
-        say v = i, b(v,i) says v <= i."""
-        return TRANSLATIONS[self.kind.name].value(self.emap, name, i)
+        say v = i, b(v,i) says v <= i (see ``Translation.order``)."""
+        return self.row.value(self.emap, name, i)
 
     @cached_property
     def value_atoms(self) -> dict[Atom, tuple[str, int]]:
         """Each value atom over the window, mapped to its (variable,
-        internal value); readback ignores every atom outside it."""
+        internal value); decode ignores every atom outside it."""
         return {
             self.value_atom(name, i): (name, i)
             for name in self.emap.values
@@ -161,6 +165,12 @@ class Translation:
     level: str  # the consistency level `cspasp check` holds propagation to
     hall: bool = False  # whether a Hall limit applies
     close: Callable | None = None  # (emap, rules) -> rules posted after the rest
+    # whether value atom i says v <= i rather than v = i: then the least
+    # true one is v's value, and a state is seeded by its ends alone
+    order: bool = False
+    # (emap, name, i) -> the (atom, truth) seeds of a state whose least
+    # value is i, and those of a state whose greatest value is i
+    ends: Callable | None = None
 
 
 def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
@@ -275,6 +285,14 @@ def _range_domain(emap, name):
         yield IntegrityRule((pos(r(name, i, i)),))
 
 
+def _range_ends(emap, name, i):
+    """A state whose least value is i lies outside r(v,1,i-1), and one
+    whose greatest value is i outside r(v,i+1,d)."""
+    d = emap.d
+    return (((emap.r_atom(name, 1, i - 1), False),) if i >= 2 else (),
+            ((emap.r_atom(name, i + 1, d), False),) if i <= d - 1 else ())
+
+
 def _range_table(emap, c, found):
     pos = emap.lits.pos
     for box in _table(emap, c, found).boxes:
@@ -332,6 +350,15 @@ def _bound_domain(emap, name):
         yield IntegrityRule((pos(b(name, i)), neg(b(name, i - 1))))
 
 
+def _bound_ends(emap, name, i):
+    """A state whose least value is i has b(v,i-1) false, and one whose
+    greatest value is i has b(v,i) true, unless i is that end of v's
+    initial domain, which the domain rules pin already."""
+    lo, hi = emap.window(name)
+    return (((emap.b_atom(name, i - 1), False),) if i > lo else (),
+            ((emap.b_atom(name, i), True),) if i < hi else ())
+
+
 def _bound_table(emap, c, found):
     pos, neg = emap.lits.pos, emap.lits.neg
     for box in _table(emap, c, found).boxes:
@@ -367,9 +394,10 @@ TRANSLATIONS = {
                            _support_table, "ac"),
     "bound": Translation(EncodingMap.b_atom, _bound_domain, _interval_count_rules,
                          _bound_table, "bound", hall=True,
-                         close=_define_interval_atoms),
+                         close=_define_interval_atoms, order=True, ends=_bound_ends),
     "range": Translation(lambda emap, name, i: emap.r_atom(name, i, i), _range_domain,
-                         _interval_count_rules, _range_table, "range", hall=True),
+                         _interval_count_rules, _range_table, "range", hall=True,
+                         ends=_range_ends),
 }
 
 ENCODING_NAMES = tuple(TRANSLATIONS)
@@ -520,76 +548,107 @@ def _maximal_empty_boxes(points, windows):
 # -- seeds, readback, decoding ---------------------------------------------------
 
 
-def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
-    """Literals expressing a pruned domain state, ready to seed a trail.
+@dataclass(frozen=True, slots=True)
+class _Values:
+    """One variable's row of an encoding's value table.
 
-    Removal is relative to the instance's initial domains.  Variables
-    with an empty current domain are rejected: express those as a
-    conflict, not a seed.
+    The literals in it are whatever the table's builder makes of an
+    (atom, truth) pair: ``SignedLiteral`` for the literal-level reference
+    functions, a literal code for ``EncodingPropagator``.
     """
-    validate_state(enc.instance, state)
-    emap = enc.emap
-    kind = enc.kind.name
-    atom = enc.value_atom
-    seeds: list[SignedLiteral] = []
-    for decl in enc.instance.variables:
-        name = decl.name
-        current = [emap.internal(v) for v in state.domains[name]]
-        if not current:
-            raise ValueError(f"variable {name} has an empty current domain")
-        declared = emap.values[name]
-        lo, hi = current[0], current[-1]
-        if kind == "bound":
-            if hi < declared[-1]:
-                seeds.append(SignedLiteral(atom(name, hi), True))
-            if lo > declared[0]:
-                seeds.append(SignedLiteral(atom(name, lo - 1), False))
+
+    values: tuple[int, ...]  # the original values a state may hold, ascending
+    allowed: frozenset[int]  # the same, for checking a state
+    first: int  # the original value of internal value 1
+    false: dict  # value -> "its value atom is false"
+    low: dict  # value -> the seeds of a state whose least value it is
+    high: dict  # value -> the seeds of a state whose greatest value it is
+    caps: tuple  # under order, "v <= i" for i = 1..d
+    lifts: tuple  # under order, "not v <= i" for i = 1..d
+
+
+def _value_table(enc: Encoding, literal: Callable) -> dict[str, _Values]:
+    """Each variable's value atoms and seeds, as ``literal(atom, truth)``,
+    from the encoding's ``Translation`` row; in declaration order."""
+    emap, row = enc.emap, enc.row
+    table = {}
+    for name, internal in emap.values.items():
+        values = tuple(map(emap.original, internal))
+        ends = [row.ends(emap, name, i) if row.ends else ((), ()) for i in internal]
+        ladder = [enc.value_atom(name, i) for i in range(1, emap.d + 1)] if row.order else []
+        table[name] = _Values(
+            values,
+            frozenset(values),
+            emap.lo,
+            {x: literal(enc.value_atom(name, i), False) for x, i in zip(values, internal)},
+            {x: tuple(literal(*s) for s in low) for x, (low, _) in zip(values, ends)},
+            {x: tuple(literal(*s) for s in high) for x, (_, high) in zip(values, ends)},
+            tuple(literal(atom, True) for atom in ladder),
+            tuple(literal(atom, False) for atom in ladder),
+        )
+    return table
+
+
+def _seeds(table: dict[str, _Values], order: bool, state: DomainState) -> list:
+    """The literals of ``table`` that express a state: removal is relative
+    to the initial domains.  Raises ValueError on a state that is not over
+    the instance's variables and values, or that leaves a variable with no
+    value: express that as a conflict, not a seed."""
+    domains = state.domains
+    if domains.keys() != table.keys():
+        raise ValueError("state does not cover exactly the instance variables")
+    seeds = []
+    empty = None
+    for name, var in table.items():
+        vals = domains[name]
+        if not var.allowed.issuperset(vals):
+            extra = sorted(set(vals) - var.allowed)
+            raise ValueError(f"state of {name} contains undeclared values {extra}")
+        if not vals:
+            empty = empty or name
             continue
-        kept = set(current)
-        for i in declared:
-            if i not in kept:
-                seeds.append(SignedLiteral(atom(name, i), False))
-        if kind == "range":
-            if lo >= 2:
-                seeds.append(SignedLiteral(emap.r_atom(name, 1, lo - 1), False))
-            if hi <= emap.d - 1:
-                seeds.append(SignedLiteral(emap.r_atom(name, hi + 1, emap.d), False))
+        seeds += var.low[vals[0]]
+        seeds += var.high[vals[-1]]
+        if not order and len(vals) < len(var.values):
+            seeds += map(var.false.__getitem__, var.allowed.difference(vals))
+    if empty is not None:
+        raise ValueError(f"variable {empty} has an empty current domain")
+    return seeds
+
+
+def _read(table: dict[str, _Values], order: bool, holds: Callable, domains) -> DomainState:
+    """The values of ``domains`` that the literals for which ``holds`` is
+    true leave.  A false value atom removes its value; under order the
+    least true "v <= i" caps v at i and the greatest false one lifts v
+    above i."""
+    out = {}
+    for name, var in table.items():
+        vals = domains[name]
+        if order:
+            cap = bytes(map(holds, var.caps)).find(1)
+            lift = bytes(map(holds, var.lifts)).rfind(1)
+            lo = bisect_left(vals, var.first + lift + 1)
+            hi = bisect_right(vals, var.first + cap) if cap >= 0 else len(vals)
+            out[name] = vals[lo:hi]
+        else:
+            false = var.false
+            out[name] = tuple([x for x in vals if not holds(false[x])])
+    return DomainState(out)
+
+
+def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
+    """Literals expressing a pruned domain state, ready to seed a trail:
+    the literal-level form of what ``EncodingPropagator`` seeds."""
+    seeds = _seeds(_value_table(enc, SignedLiteral), enc.row.order, state)
     return list(dict.fromkeys(seeds))  # r(v,1,lo-1) can repeat a value atom r(v,1,1)
 
 
 def pruned_domains(enc: Encoding, assignment) -> DomainState:
-    """Read a (partial) assignment back as pruned initial domains.
-
-    A false e(v,i) or r(v,i,i) removes i.  Under bound a true b(v,i)
-    caps v at i and a false one lifts v above i.
-    """
-    emap = enc.emap
-    table = enc.value_atoms
-    bound = enc.kind.name == "bound"
-    names = enc.instance.names()
-    lower = dict.fromkeys(names, 1)
-    upper = dict.fromkeys(names, emap.d)
-    removed: dict[str, set[int]] = {name: set() for name in names}
-    for lit in assignment:
-        hit = table.get(lit.entity)
-        if hit is None:
-            continue
-        name, i = hit
-        if not bound:
-            if not lit.truth:
-                removed[name].add(i)
-        elif lit.truth:
-            upper[name] = min(upper[name], i)
-        else:
-            lower[name] = max(lower[name], i + 1)
-    return DomainState({
-        name: tuple(
-            emap.original(i)
-            for i in emap.values[name]
-            if lower[name] <= i <= upper[name] and i not in removed[name]
-        )
-        for name in names
-    })
+    """Read a (partial) assignment back as pruned initial domains: the
+    literal-level form of what ``EncodingPropagator`` reads back."""
+    table = _value_table(enc, SignedLiteral)
+    initial = {name: var.values for name, var in table.items()}
+    return _read(table, enc.row.order, set(assignment).__contains__, initial)
 
 
 def decode(enc: Encoding, assignment) -> dict[str, int]:
@@ -607,8 +666,8 @@ def decode(enc: Encoding, assignment) -> dict[str, int]:
             chosen[name].add(i)
     solution = {}
     for name, picks in chosen.items():
-        if enc.kind.name == "bound" and picks:
-            picks = {min(picks)}  # the least true b(v,i) is v's value
+        if enc.row.order and picks:
+            picks = {min(picks)}  # the least true value atom is v's value
         if len(picks) != 1:
             raise ValueError(
                 f"assignment determines {len(picks)} values for variable {name}"
@@ -656,10 +715,11 @@ class EncodingPropagator:
     """Unit propagation harness over an encoding's completion nogoods.
 
     The program is completed once, and one trail keeps the root fixpoint
-    (the unit nogoods propagated at level 0).  Each propagate() call
-    seeds its state at level 1 above that root, propagates, reads back
-    only the encoding's value atoms and backjumps to the root, so the
-    root is derived once per propagator.
+    (the unit nogoods propagated at level 0).  The encoding's value table
+    is built once too, on literal codes.  Each propagate() call seeds its
+    state's codes at level 1 above that root, propagates, reads the
+    pruned domains straight off the trail and backjumps to the root, so
+    the root is derived once per propagator.
     """
 
     def __init__(self, enc: Encoding):
@@ -667,38 +727,32 @@ class EncodingPropagator:
         self.store = completion_nogoods(enc.program)
         self.trail = Trail(self.store)
         self.root_conflict = unit_propagate(self.store, self.trail) is not None
-        self._readback = [
-            (2 * idx, entity)  # the code of "entity is true"
-            for idx, entity in enumerate(self.store.entities)
-            if entity in enc.value_atoms
-        ]
+        self._order = enc.row.order
+        self._values = _value_table(enc, self._code)
+
+    def _code(self, atom: Atom, truth: bool) -> int:
+        idx = self.store.index_of(atom)
+        if idx is None:
+            raise RuntimeError(f"value atom {atom!r} is not in the completed program")
+        return 2 * idx + (0 if truth else 1)
 
     def propagate(self, state: DomainState) -> DomainState | None:
-        """UP fixpoint from the state's seed; None signals a conflict."""
-        seeds = seed_assignment(self.enc, state)
+        """UP fixpoint from the state's seed, within the state; None
+        signals a conflict."""
+        seeds = _seeds(self._values, self._order, state)
         if self.root_conflict:
             return None
-        store = self.store
         trail = self.trail
+        lit = trail.lit
         trail.new_level()
         try:
-            for lit in seeds:
-                idx = store.index_of(lit.entity)
-                if idx is None:
-                    raise RuntimeError(f"seed literal over unknown atom {lit.entity!r}")
-                code = 2 * idx + (0 if lit.truth else 1)
-                if trail.falsified(code):
+            for code in seeds:
+                if lit[code ^ 1]:
                     return None
-                if not trail.holds(code):
+                if not lit[code]:
                     trail.assign(code, None)
-            if unit_propagate(store, trail) is not None:
+            if unit_propagate(self.store, trail) is not None:
                 return None
-            lit = trail.lit
-            readback = [
-                SignedLiteral(atom, lit[code] == 1)
-                for code, atom in self._readback
-                if lit[code] or lit[code + 1]
-            ]
-            return pruned_domains(self.enc, readback)
+            return _read(self._values, self._order, lit.__getitem__, state.domains)
         finally:
             trail.backjump(0)

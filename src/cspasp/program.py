@@ -74,7 +74,7 @@ class LitTable:
         return lit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalRule:
     """``head :- body`` (a fact when the body is empty)."""
 
@@ -85,7 +85,7 @@ class NormalRule:
         object.__setattr__(self, "body", tuple(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceRule:
     """``{h1; ...; hn} :- body``: any subset of the heads may hold."""
 
@@ -101,7 +101,7 @@ class ChoiceRule:
             raise ValueError("duplicate atom in choice head")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegrityRule:
     """``:- body``: the body must not hold in any solution."""
 
@@ -111,7 +111,7 @@ class IntegrityRule:
         object.__setattr__(self, "body", tuple(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CardinalityRule:
     """``:- bound {l1; ...; ln}``: fewer than ``bound`` may hold.
 
@@ -143,25 +143,6 @@ def make_cardinality(bound: int, literals) -> CardinalityRule | None:
     return CardinalityRule(bound, literals)
 
 
-def _rule_atoms(rule: Rule):
-    if isinstance(rule, NormalRule):
-        yield rule.head
-        for lit in rule.body:
-            yield lit.atom
-    elif isinstance(rule, ChoiceRule):
-        yield from rule.heads
-        for lit in rule.body:
-            yield lit.atom
-    elif isinstance(rule, IntegrityRule):
-        for lit in rule.body:
-            yield lit.atom
-    elif isinstance(rule, CardinalityRule):
-        for lit in rule.literals:
-            yield lit.atom
-    else:
-        raise TypeError(f"not a ground rule: {rule!r}")
-
-
 class GroundProgram:
     """An immutable, ordered collection of ground rules."""
 
@@ -184,11 +165,22 @@ class GroundProgram:
     def atoms(self) -> tuple[Atom, ...]:
         """Every atom, in first-occurrence order (heads before bodies)."""
         if self._atoms is None:
-            seen: dict[Atom, None] = {}
+            seen: dict[Atom, None] = {}  # a key set again keeps its first place
             for rule in self.rules:
-                for atom in _rule_atoms(rule):
-                    if atom not in seen:
-                        seen[atom] = None
+                if isinstance(rule, IntegrityRule):
+                    body = rule.body
+                elif isinstance(rule, NormalRule):
+                    seen[rule.head] = None
+                    body = rule.body
+                elif isinstance(rule, ChoiceRule):
+                    seen.update(dict.fromkeys(rule.heads))
+                    body = rule.body
+                elif isinstance(rule, CardinalityRule):
+                    body = rule.literals
+                else:
+                    raise TypeError(f"not a ground rule: {rule!r}")
+                for lit in body:
+                    seen[lit.atom] = None
             self._atoms = tuple(seen)
         return self._atoms
 

@@ -322,13 +322,45 @@ def test_reused_propagator_matches_a_fresh_one_per_state(kind_name):
             assert reused.propagate(state) == EncodingPropagator(enc).propagate(state)
 
 
+def test_propagation_keeps_only_values_its_state_holds():
+    # bound seeds only a state's ends, so its readback once gave x back
+    # the 2 that this state removed
+    inst = parse_instance("var x 1 4\nvar y 1 4\nalldifferent x y\n")
+    state = DomainState({"x": (1, 3, 4), "y": (1, 2, 3, 4)})
+    for kind_name in ENCODING_NAMES:
+        out = EncodingPropagator(encode(inst, EncodingKind(kind_name))).propagate(state)
+        assert out == state, kind_name
+
+
+@pytest.mark.parametrize("kind_name", ENCODING_NAMES)
+def test_propagation_only_prunes(kind_name):
+    rng = random.Random(f"prunes:{kind_name}")
+    for _ in range(15):
+        inst = random_instance(rng, max_vars=4, max_dom=5)
+        enc = encode(inst, EncodingKind(kind_name))
+        reused = EncodingPropagator(enc)
+        for k in range(10):
+            state = random_state(rng, inst, intervals=k % 2 == 1)
+            out = reused.propagate(state)
+            assert out == EncodingPropagator(enc).propagate(state), (inst, state)
+            if out is not None:
+                assert out.domains.keys() == state.domains.keys()
+                for name, vals in out.domains.items():
+                    assert set(vals) <= set(state[name]), (inst, state, out)
+
+
 def naive_pruning(enc, state):
     """pruned_domains of propagate_naive over a freshly completed store,
-    its cardinality rules expanded by the counter ladder."""
+    its cardinality rules expanded by the counter ladder, within the state
+    (bound seeds only a state's ends, so its readback can hold values the
+    state removed)."""
     store = completion_nogoods(expand_cardinality(enc.program, "counter"))
     nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
     derived, status = propagate_naive(nogoods, seed_assignment(enc, state))
-    return None if status == "conflict" else pruned_domains(enc, derived)
+    if status == "conflict":
+        return None
+    pruned = pruned_domains(enc, derived).domains
+    return DomainState({name: set(vals) & set(state[name]) for name, vals in pruned.items()})
 
 
 encoder_unit_propagate = encoder.unit_propagate
