@@ -8,7 +8,8 @@ bound    -- atoms b(v,i) meaning v <= i; propagation works on interval
 range    -- atoms r(v,l,u) meaning v in [l,u] for every subrange, the
             most propagation-complete (and largest) of the four.
 
-Each is one row of ``TRANSLATIONS``, and ``encode`` is one loop over a row.
+Each is one row of ``TRANSLATIONS``, and ``encode`` is one loop over a row;
+seeding, readback and ``decode`` read one value table built from the row.
 
 All atom arguments live in an internal window 1..d shared by every
 variable (d spans the union of the initial domains); EncodingMap is the
@@ -137,20 +138,11 @@ class Encoding:
     def row(self) -> Translation:
         return TRANSLATIONS[self.kind.name]
 
-    def value_atom(self, name: str, i: int) -> Atom:
-        """The atom for internal value i of a variable: e(v,i) and r(v,i,i)
-        say v = i, b(v,i) says v <= i (see ``Translation.order``)."""
-        return self.row.value(self.emap, name, i)
-
     @cached_property
-    def value_atoms(self) -> dict[Atom, tuple[str, int]]:
-        """Each value atom over the window, mapped to its (variable,
-        internal value); decode ignores every atom outside it."""
-        return {
-            self.value_atom(name, i): (name, i)
-            for name in self.emap.values
-            for i in range(1, self.emap.d + 1)
-        }
+    def value_table(self) -> dict[str, _Values]:
+        """The value table on signed literals, which ``seed_assignment``,
+        ``pruned_domains`` and ``decode`` read."""
+        return _value_table(self, SignedLiteral)
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,9 @@ class Translation:
     """One encoding as data: its value atom, the rules it posts for each
     part of an instance, and what unit propagation reaches on them."""
 
-    value: Callable  # (emap, name, i) -> the atom for value i of a variable
+    # (emap, name, i) -> the atom for internal value i of a variable:
+    # e(v,i) and r(v,i,i) say v = i, b(v,i) says v <= i (see ``order``)
+    value: Callable
     domain: Callable  # (emap, name) -> the rules for one variable's domain
     count: Callable  # (emap, c, hall_limit) -> rules for all-different/permutation
     table: Callable  # (emap, c, found) -> rules for a table; see _table for found
@@ -575,12 +569,12 @@ def _value_table(enc: Encoding, literal: Callable) -> dict[str, _Values]:
     for name, internal in emap.values.items():
         values = tuple(map(emap.original, internal))
         ends = [row.ends(emap, name, i) if row.ends else ((), ()) for i in internal]
-        ladder = [enc.value_atom(name, i) for i in range(1, emap.d + 1)] if row.order else []
+        ladder = [row.value(emap, name, i) for i in range(1, emap.d + 1)] if row.order else []
         table[name] = _Values(
             values,
             frozenset(values),
             emap.lo,
-            {x: literal(enc.value_atom(name, i), False) for x, i in zip(values, internal)},
+            {x: literal(row.value(emap, name, i), False) for x, i in zip(values, internal)},
             {x: tuple(literal(*s) for s in low) for x, (low, _) in zip(values, ends)},
             {x: tuple(literal(*s) for s in high) for x, (_, high) in zip(values, ends)},
             tuple(literal(atom, True) for atom in ladder),
@@ -616,14 +610,14 @@ def _seeds(table: dict[str, _Values], order: bool, state: DomainState) -> list:
     return seeds
 
 
-def _read(table: dict[str, _Values], order: bool, holds: Callable, domains) -> DomainState:
-    """The values of ``domains`` that the literals for which ``holds`` is
-    true leave.  A false value atom removes its value; under order the
-    least true "v <= i" caps v at i and the greatest false one lifts v
-    above i."""
+def _read(table: dict[str, _Values], order: bool, holds: Callable, domains=None) -> DomainState:
+    """The values of ``domains`` (by default the initial ones) that the
+    literals for which ``holds`` is true leave.  A false value atom
+    removes its value; under order the least true "v <= i" caps v at i
+    and the greatest false one lifts v above i."""
     out = {}
     for name, var in table.items():
-        vals = domains[name]
+        vals = var.values if domains is None else domains[name]
         if order:
             cap = bytes(map(holds, var.caps)).find(1)
             lift = bytes(map(holds, var.lifts)).rfind(1)
@@ -639,40 +633,32 @@ def _read(table: dict[str, _Values], order: bool, holds: Callable, domains) -> D
 def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
     """Literals expressing a pruned domain state, ready to seed a trail:
     the literal-level form of what ``EncodingPropagator`` seeds."""
-    seeds = _seeds(_value_table(enc, SignedLiteral), enc.row.order, state)
+    seeds = _seeds(enc.value_table, enc.row.order, state)
     return list(dict.fromkeys(seeds))  # r(v,1,lo-1) can repeat a value atom r(v,1,1)
 
 
 def pruned_domains(enc: Encoding, assignment) -> DomainState:
     """Read a (partial) assignment back as pruned initial domains: the
     literal-level form of what ``EncodingPropagator`` reads back."""
-    table = _value_table(enc, SignedLiteral)
-    initial = {name: var.values for name, var in table.items()}
-    return _read(table, enc.row.order, set(assignment).__contains__, initial)
+    return _read(enc.value_table, enc.row.order, set(assignment).__contains__)
 
 
 def decode(enc: Encoding, assignment) -> dict[str, int]:
     """Extract the CSP solution from a total assignment.
 
-    Raises ValueError, naming the variable, when the assignment does not
-    determine a single value for it.  On a model of the encoding's own
-    program that would mean the encoding is broken, so it fails loudly.
+    The assignment is read like ``pruned_domains`` reads one, closed-world:
+    every atom it does not make true is false.  Raises ValueError, naming
+    the variable, unless exactly one value is left for it.  On a model of
+    the encoding's own program that would mean the encoding is broken, so
+    it fails loudly.
     """
-    table = enc.value_atoms
-    chosen: dict[str, set[int]] = {name: set() for name in enc.instance.names()}
-    for lit in assignment:
-        if lit.truth and lit.entity in table:
-            name, i = table[lit.entity]
-            chosen[name].add(i)
+    true = {lit.entity for lit in assignment if lit.truth}
+    read = _read(enc.value_table, enc.row.order, lambda s: (s.entity in true) == s.truth)
     solution = {}
-    for name, picks in chosen.items():
-        if enc.row.order and picks:
-            picks = {min(picks)}  # the least true value atom is v's value
-        if len(picks) != 1:
-            raise ValueError(
-                f"assignment determines {len(picks)} values for variable {name}"
-            )
-        solution[name] = enc.emap.original(picks.pop())
+    for name, vals in read.domains.items():
+        if len(vals) != 1:
+            raise ValueError(f"assignment determines {len(vals)} values for variable {name}")
+        solution[name] = vals[0]
     return solution
 
 
@@ -738,7 +724,8 @@ class EncodingPropagator:
 
     def propagate(self, state: DomainState) -> DomainState | None:
         """UP fixpoint from the state's seed, within the state; None
-        signals a conflict."""
+        signals a conflict, and so does a readback that leaves a variable
+        with no value."""
         seeds = _seeds(self._values, self._order, state)
         if self.root_conflict:
             return None
@@ -753,6 +740,7 @@ class EncodingPropagator:
                     trail.assign(code, None)
             if unit_propagate(self.store, trail) is not None:
                 return None
-            return _read(self._values, self._order, lit.__getitem__, state.domains)
+            out = _read(self._values, self._order, lit.__getitem__, state.domains)
+            return None if out.is_inconsistent() else out
         finally:
             trail.backjump(0)

@@ -215,8 +215,9 @@ class NogoodStore:
         return [implied ^ 1] + [c for c in held if pos_of[c >> 1] < before]
 
     def delete(self, ng_ids: Iterable[int]) -> None:
-        """Delete learned nogoods: mark them and drop them from the watch
-        lists of their two watched literals, keeping the others' order."""
+        """Delete learned nogoods: mark them, release their literals and
+        drop them from the watch lists of their two watched literals,
+        keeping the others' order."""
         gone = set(ng_ids)
         touched = set()
         for ng_id in gone:
@@ -225,6 +226,7 @@ class NogoodStore:
                 raise ValueError("static nogoods are permanent")
             ng.deleted = True
             touched.update(ng.lits[:2])
+            ng.lits = []
         for c in touched:
             _drop(self.watches[c], gone)
 

@@ -353,14 +353,16 @@ def naive_pruning(enc, state):
     """pruned_domains of propagate_naive over a freshly completed store,
     its cardinality rules expanded by the counter ladder, within the state
     (bound seeds only a state's ends, so its readback can hold values the
-    state removed)."""
+    state removed); None on a conflict or on a readback that leaves a
+    variable with no value."""
     store = completion_nogoods(expand_cardinality(enc.program, "counter"))
     nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
     derived, status = propagate_naive(nogoods, seed_assignment(enc, state))
     if status == "conflict":
         return None
     pruned = pruned_domains(enc, derived).domains
-    return DomainState({name: set(vals) & set(state[name]) for name, vals in pruned.items()})
+    out = DomainState({name: set(vals) & set(state[name]) for name, vals in pruned.items()})
+    return None if out.is_inconsistent() else out
 
 
 encoder_unit_propagate = encoder.unit_propagate
@@ -395,6 +397,17 @@ def test_propagator_matches_naive_propagation(kind_name, monkeypatch):
             conflicts += want is None
     assert conflicts >= 1  # the conflict path was compared too
     assert counted >= 5  # and native counting was in play
+
+
+def test_a_bound_readback_that_leaves_a_variable_no_value_is_a_conflict():
+    # y = 1 leaves x only 2, which the state removed; bound sees the state
+    # x:{1,3} as its hull [1,3], so its readback empties x rather than
+    # propagation conflicting
+    inst = parse_instance("var x 1 3\nvar y 1 2\nallowed (x y) : (2 1) (1 2) (3 2)\n")
+    enc = encode(inst, EncodingKind("bound"))
+    state = DomainState({"x": (1, 3), "y": (1,)})
+    assert EncodingPropagator(enc).propagate(state) is None
+    assert naive_pruning(enc, state) is None
 
 
 def fails_midway(prop, state):
@@ -480,10 +493,12 @@ def model_solutions(inst, kind):
 @pytest.mark.parametrize("kind", ENCODING_NAMES)
 def test_decoded_models_are_exactly_the_solutions(kind):
     rng = random.Random(f"decode:{kind}")
-    for _ in range(20):
-        inst = random_instance(rng, max_vars=4, max_dom=4)
+    holed = parse_instance("var x { 1 5 }\nvar y { 1 5 }\n")  # window 1..5
+    for inst in [holed] + [random_instance(rng, max_vars=4, max_dom=4) for _ in range(20)]:
         enc, models = model_solutions(inst, kind)
+        built = len(enc.emap.atoms)
         decoded = [decode(enc, m) for m in models]
+        assert len(enc.emap.atoms) == built  # decoding builds no atom
         assert len({tuple(sorted(d.items())) for d in decoded}) == len(decoded)
         want = enumerate_solutions(inst)
         key = lambda d: sorted(d.items())

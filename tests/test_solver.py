@@ -384,6 +384,7 @@ def test_reduction_spares_only_reasons_on_the_live_trail(monkeypatch):
     search.reduce_learned()
     deleted = [store.nogoods[i].deleted for i in (stale, idle, live)]
     assert deleted == [True, False, False]
+    assert store.nogoods[stale].lits == []  # released, not kept for the search
     # a deleted nogood leaves the watch lists at once; the rest stay watched
     watched = [ng_id for wl in store.watches for ng_id in wl]
     assert sorted(watched) == sorted(2 * [idle, live])
