@@ -2,7 +2,11 @@
 
 direct   -- one atom e(v,i) per value; constraints as forbidden combinations.
 support  -- direct's atoms plus support-driven rules, so unit propagation
-            prunes exactly like arc consistency on the binary view.
+            prunes like arc consistency on the binary view: binary tables,
+            all-different as pairwise not-equals, and each pair of
+            positions of a wider table.  On a wide table it also forces
+            the chosen position once the others are fixed; it does not
+            reach full (generalised) arc consistency there.
 bound    -- atoms b(v,i) meaning v <= i; propagation works on interval
             endpoints only and stays small on wide domains.
 range    -- atoms r(v,l,u) meaning v in [l,u] for every subrange, the
@@ -22,6 +26,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,16 +239,26 @@ def _direct_table(emap, c, found):
 
 
 def _support_table(emap, c, found):
-    if len(c.scope) >= 2:
-        pos = _value_lits(emap, c, emap.lits.pos)
-        neg = _value_lits(emap, c, emap.lits.neg)
-        for (vi, wi), supports in _table(emap, c, found).supports.items():
-            for i, js in supports.items():
-                yield IntegrityRule((pos[vi][i],) + tuple(map(neg[wi].__getitem__, js)))
-    if len(c.scope) != 2:
-        # the direct form; on wide tables it backs up the pairwise
-        # support rules, which alone cannot reject every tuple
+    """The pairwise support rules.  On a wide table they cannot reject
+    every tuple alone, so one rule per combination of values at the other
+    positions limits the chosen position to what the table allows with
+    them, or the direct form rejects the tuples where it is smaller."""
+    table = _table(emap, c, found)
+    pos = _value_lits(emap, c, emap.lits.pos)
+    neg = _value_lits(emap, c, emap.lits.neg)
+    for (vi, wi), supports in table.supports.items():
+        for i, js in supports.items():
+            yield IntegrityRule((pos[vi][i],) + tuple(map(neg[wi].__getitem__, js)))
+    if len(c.scope) == 2:
+        return
+    if len(c.scope) == 1 or table.combinations is None:
         yield from _direct_table(emap, c, found)
+        return
+    p, rows = table.combinations
+    others = pos[:p] + pos[p + 1:]
+    for combo, values in rows:
+        yield IntegrityRule(tuple(map(operator.getitem, others, combo))
+                            + tuple(map(neg[p].__getitem__, values)))
 
 
 # -- range ---------------------------------------------------------------------
@@ -462,15 +477,59 @@ class _TableTuples:
         at vi mapped to the sorted values at wi that allowed tuples pair
         with it (its supports)."""
         out = {}
-        for vi, dom in enumerate(self.domains):
-            for wi in range(len(self.domains)):
-                if wi == vi:
-                    continue
-                seen = {i: set() for i in dom}
-                for t in self.allowed:
-                    seen[t[vi]].add(t[wi])
-                out[vi, wi] = {i: sorted(js) for i, js in seen.items()}
-        return out
+        for vi, wi in itertools.combinations(range(len(self.domains)), 2):
+            there = out[vi, wi] = {i: [] for i in self.domains[vi]}
+            back = out[wi, vi] = {j: [] for j in self.domains[wi]}
+            for i, j in sorted(set(map(operator.itemgetter(vi, wi), self.allowed))):
+                there[i].append(j)
+                back[j].append(i)
+        return {pair: out[pair] for pair in itertools.permutations(range(len(self.domains)), 2)}
+
+    @cached_property
+    def combinations(self) -> tuple[int, list] | None:
+        """The per-combination form of a wide table, or None where the
+        direct form has no more literals.
+
+        It is a position p and, for each combination of values at the
+        other positions (in scope order) that the table does not allow
+        with every value at p, that combination and the sorted values the
+        table allows with it at p.  p is the last position the others
+        determine (at most one allowed value per combination), else the
+        first one with the smallest product of the other domains, which is
+        capped like a complement.
+        """
+        allowed = self.allowed
+        n = len(self.domains)
+        rest = [math.prod(len(dom) for k, dom in enumerate(self.domains) if k != p)
+                for p in range(n)]
+        # the other positions' values of a tuple, per position p
+        others = [operator.itemgetter(*(k for k in range(n) if k != p)) for p in range(n)]
+        determined = [p for p in range(n) if len(allowed) <= rest[p]
+                      and len(set(map(others[p], allowed))) == len(allowed)]
+        p = determined[-1] if determined else rest.index(min(rest))
+        if rest[p] > TABLE_COMPLEMENT_CAP:
+            raise CapExceeded(f"a wide table's combinations need {rest[p]} candidate tuples")
+        # a combination allowed with every value at p gets no rule: the
+        # domain rule subsumes it.  Counted on the table's own list, which
+        # is the short one on sparse forbidden tables
+        width = len(self.domains[p])
+        if self.polarity == "allowed":
+            full = operator.countOf(Counter(map(others[p], allowed)).values(), width)
+        else:
+            full = rest[p] - len(set(map(others[p], self.listed)))
+        # literals: n-1 per rule and one per allowed tuple outside the full
+        # combinations, against the direct form's n per forbidden tuple
+        size = (n - 1) * (rest[p] - full) + len(allowed) - full * width
+        if size >= n * (math.prod(map(len, self.domains)) - len(allowed)):
+            return None
+        at_p: dict[tuple[int, ...], list[int]] = {}
+        for t in allowed:
+            at_p.setdefault(others[p](t), []).append(t[p])
+        return p, [
+            (combo, values)
+            for combo in itertools.product(*self.domains[:p], *self.domains[p + 1:])
+            if len(values := at_p.get(combo, ())) < width
+        ]
 
     @cached_property
     def boxes(self) -> list[tuple[tuple[int, int], ...]]:

@@ -192,7 +192,7 @@ PINNED_SEARCHES = [
     ("php7", "support", (UNSAT, 786, 692, 8172, 6, 691)),
     ("php7", "bound", (UNSAT, 0, 1, 15, 0, 0)),
     ("php7", "range", (UNSAT, 0, 1, 7, 0, 0)),
-    ("ggp4", "support", (SAT, 5176, 1647, 55363, 14, 1647)),
+    ("ggp4", "support", (SAT, 841, 352, 22654, 4, 352)),
     ("qcp8", "bound", (SAT, 28, 0, 2725, 0, 0)),
     ("qcp8", "range", (SAT, 28, 0, 2276, 0, 0)),
 ]
