@@ -201,7 +201,7 @@ def _cmd_check(args) -> int:
         except CapExceeded:
             skipped += 1
             continue
-        if not _agrees(kind.name, instance, pruned, oracle):
+        if not _agrees(kind, instance, pruned, oracle):
             print(f"disagree on trial {trial}")
             print(format_instance(instance), end="")
             print(f"state: {state!r}")
@@ -214,19 +214,20 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _agrees(encoding: str, instance, pruned, oracle) -> bool:
-    if encoding == "direct":
-        # unit propagation on the direct encoding prunes no more than
-        # arc consistency, and conflicts only when the oracle does too
-        if pruned is None:
-            return oracle.is_inconsistent()
-        if oracle.is_inconsistent():
-            return True
-        return all(
-            set(oracle[d.name]) <= set(pruned[d.name]) for d in instance.variables
-        )
+def _agrees(encoding, instance, pruned, oracle) -> bool:
+    """Whether ``pruned`` meets the oracle's level under ``encoding``, a
+    name or an EncodingKind.  Unit propagation on the direct encoding, or
+    on one whose Hall limit drops counting rules, is held to the level
+    from within: it prunes no value the oracle keeps, and conflicts only
+    where the oracle does.  The others must reach it exactly."""
+    if isinstance(encoding, str):
+        encoding = EncodingKind(encoding)
     if pruned is None:
         return oracle.is_inconsistent()
+    if encoding.name == "direct" or encoding.hall_limit is not None:
+        return oracle.is_inconsistent() or all(
+            set(oracle[d.name]) <= set(pruned[d.name]) for d in instance.variables
+        )
     if oracle.is_inconsistent():
         return False
     return all(pruned[d.name] == oracle[d.name] for d in instance.variables)

@@ -163,13 +163,10 @@ class Translation:
     table: Callable  # (emap, c, found) -> rules for a table; see _table for found
     level: str  # the consistency level `cspasp check` holds propagation to
     hall: bool = False  # whether a Hall limit applies
-    close: Callable | None = None  # (emap, rules) -> rules posted after the rest
+    close: Callable | None = None  # (emap) -> rules posted after the rest
     # whether value atom i says v <= i rather than v = i: then the least
     # true one is v's value, and a state is seeded by its ends alone
     order: bool = False
-    # (emap, name, i) -> the (atom, truth) seeds of a state whose least
-    # value is i, and those of a state whose greatest value is i
-    ends: Callable | None = None
 
 
 def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
@@ -186,7 +183,7 @@ def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
         else:
             rules.extend(row.table(emap, c, found))
     if row.close is not None:
-        rules.extend(row.close(emap, rules))
+        rules.extend(row.close(emap))
     return Encoding(instance, kind, emap, GroundProgram(rules))
 
 
@@ -294,14 +291,6 @@ def _range_domain(emap, name):
         yield IntegrityRule((pos(r(name, i, i)),))
 
 
-def _range_ends(emap, name, i):
-    """A state whose least value is i lies outside r(v,1,i-1), and one
-    whose greatest value is i outside r(v,i+1,d)."""
-    d = emap.d
-    return (((emap.r_atom(name, 1, i - 1), False),) if i >= 2 else (),
-            ((emap.r_atom(name, i + 1, d), False),) if i <= d - 1 else ())
-
-
 def _range_table(emap, c, found):
     pos = emap.lits.pos
     for box in _table(emap, c, found).boxes:
@@ -315,10 +304,13 @@ def _interval_count_rules(emap, c, hall_limit):
     of the scope variables fit inside, so u-l+2 atoms r(v,l,u) true is a
     conflict.  Permutations add the dual: every interval must absorb its
     share, so too many variables *outside* [l,u] is a conflict as well.
+    A rule that could never fire is skipped before its atoms are built,
+    so every r(v,l,u) built here is read.
     """
     r = emap.r_atom
     pos, neg = emap.lits.pos, emap.lits.neg
     d = emap.d
+    n = len(c.scope)
     intervals = [
         (l, u)
         for l in range(1, d + 1)
@@ -326,17 +318,14 @@ def _interval_count_rules(emap, c, hall_limit):
         if hall_limit is None or u - l + 1 <= hall_limit
     ]
     for l, u in intervals:
-        card = make_cardinality(u - l + 2, tuple(pos(r(v, l, u)) for v in c.scope))
-        if card is not None:
-            yield card
+        if u - l + 1 < n:  # a wider interval has room for every variable
+            yield CardinalityRule(u - l + 2, tuple(pos(r(v, l, u)) for v in c.scope))
     if c.kind == PERMUTATION:
-        n = len(c.scope)
         union = set().union(*(emap.values[v] for v in c.scope))
         for l, u in intervals:
-            outside = n - len(union & set(range(l, u + 1)))
-            card = make_cardinality(outside + 1, tuple(neg(r(v, l, u)) for v in c.scope))
-            if card is not None:
-                yield card
+            inside = len(union & set(range(l, u + 1)))
+            if inside:  # else all n may lie outside
+                yield CardinalityRule(n - inside + 1, tuple(neg(r(v, l, u)) for v in c.scope))
 
 
 # -- bound ---------------------------------------------------------------------
@@ -359,15 +348,6 @@ def _bound_domain(emap, name):
         yield IntegrityRule((pos(b(name, i)), neg(b(name, i - 1))))
 
 
-def _bound_ends(emap, name, i):
-    """A state whose least value is i has b(v,i-1) false, and one whose
-    greatest value is i has b(v,i) true, unless i is that end of v's
-    initial domain, which the domain rules pin already."""
-    lo, hi = emap.window(name)
-    return (((emap.b_atom(name, i - 1), False),) if i > lo else (),
-            ((emap.b_atom(name, i), True),) if i < hi else ())
-
-
 def _bound_table(emap, c, found):
     pos, neg = emap.lits.pos, emap.lits.neg
     for box in _table(emap, c, found).boxes:
@@ -379,15 +359,13 @@ def _bound_table(emap, c, found):
         yield IntegrityRule(tuple(body))
 
 
-def _define_interval_atoms(emap, rules):
-    """One rule r(v,l,u) :- not b(v,l-1), b(v,u) for each interval atom
-    that the counting rules read; the completion of that one rule ties
-    the atom to both endpoints."""
+def _define_interval_atoms(emap):
+    """One rule r(v,l,u) :- not b(v,l-1), b(v,u) for each interval atom,
+    all of which the counting rules read; the completion of that one rule
+    ties the atom to both endpoints."""
     b = emap.b_atom
     pos, neg = emap.lits.pos, emap.lits.neg
-    read = {lit.atom for rule in rules if isinstance(rule, CardinalityRule)
-            for lit in rule.literals}
-    linked = [key[1:] for key, atom in emap.atoms.items() if key[0] == "r" and atom in read]
+    linked = [key[1:] for key in emap.atoms if key[0] == "r"]
     rank = {name: k for k, name in enumerate(emap.values)}  # declaration order
     return [
         NormalRule(emap.r_atom(name, l, u),
@@ -403,10 +381,9 @@ TRANSLATIONS = {
                            _support_table, "ac"),
     "bound": Translation(EncodingMap.b_atom, _bound_domain, _interval_count_rules,
                          _bound_table, "bound", hall=True,
-                         close=_define_interval_atoms, order=True, ends=_bound_ends),
+                         close=_define_interval_atoms, order=True),
     "range": Translation(lambda emap, name, i: emap.r_atom(name, i, i), _range_domain,
-                         _interval_count_rules, _range_table, "range", hall=True,
-                         ends=_range_ends),
+                         _interval_count_rules, _range_table, "range", hall=True),
 }
 
 ENCODING_NAMES = tuple(TRANSLATIONS)
@@ -613,32 +590,27 @@ class _Values:
     values: tuple[int, ...]  # the original values a state may hold, ascending
     allowed: frozenset[int]  # the same, for checking a state
     first: int  # the original value of internal value 1
-    false: dict  # value -> "its value atom is false"
-    low: dict  # value -> the seeds of a state whose least value it is
-    high: dict  # value -> the seeds of a state whose greatest value it is
+    false: dict  # unless under order, value -> "its value atom is false"
     caps: tuple  # under order, "v <= i" for i = 1..d
     lifts: tuple  # under order, "not v <= i" for i = 1..d
 
 
 def _value_table(enc: Encoding, literal: Callable) -> dict[str, _Values]:
-    """Each variable's value atoms and seeds, as ``literal(atom, truth)``,
-    from the encoding's ``Translation`` row; in declaration order."""
+    """Each variable's value atoms, as ``literal(atom, truth)``, from the
+    encoding's ``Translation`` row; in declaration order.  Under order
+    only the ladder is built, else only the false value atoms."""
     emap, row = enc.emap, enc.row
     table = {}
     for name, internal in emap.values.items():
         values = tuple(map(emap.original, internal))
-        ends = [row.ends(emap, name, i) if row.ends else ((), ()) for i in internal]
-        ladder = [row.value(emap, name, i) for i in range(1, emap.d + 1)] if row.order else []
-        table[name] = _Values(
-            values,
-            frozenset(values),
-            emap.lo,
-            {x: literal(row.value(emap, name, i), False) for x, i in zip(values, internal)},
-            {x: tuple(literal(*s) for s in low) for x, (low, _) in zip(values, ends)},
-            {x: tuple(literal(*s) for s in high) for x, (_, high) in zip(values, ends)},
-            tuple(literal(atom, True) for atom in ladder),
-            tuple(literal(atom, False) for atom in ladder),
-        )
+        false, caps, lifts = {}, (), ()
+        if row.order:
+            ladder = [row.value(emap, name, i) for i in range(1, emap.d + 1)]
+            caps = tuple(literal(atom, True) for atom in ladder)
+            lifts = tuple(literal(atom, False) for atom in ladder)
+        else:
+            false = {x: literal(row.value(emap, name, i), False) for x, i in zip(values, internal)}
+        table[name] = _Values(values, frozenset(values), emap.lo, false, caps, lifts)
     return table
 
 
@@ -660,9 +632,14 @@ def _seeds(table: dict[str, _Values], order: bool, state: DomainState) -> list:
         if not vals:
             empty = empty or name
             continue
-        seeds += var.low[vals[0]]
-        seeds += var.high[vals[-1]]
-        if not order and len(vals) < len(var.values):
+        if order:
+            # a raised least value x lifts v above x-1 and a lowered
+            # greatest one caps v at x; the domain rules pin the initial ends
+            if vals[0] != var.values[0]:
+                seeds.append(var.lifts[vals[0] - var.first - 1])
+            if vals[-1] != var.values[-1]:
+                seeds.append(var.caps[vals[-1] - var.first])
+        elif len(vals) < len(var.values):
             seeds += map(var.false.__getitem__, var.allowed.difference(vals))
     if empty is not None:
         raise ValueError(f"variable {empty} has an empty current domain")
@@ -692,8 +669,7 @@ def _read(table: dict[str, _Values], order: bool, holds: Callable, domains=None)
 def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
     """Literals expressing a pruned domain state, ready to seed a trail:
     the literal-level form of what ``EncodingPropagator`` seeds."""
-    seeds = _seeds(enc.value_table, enc.row.order, state)
-    return list(dict.fromkeys(seeds))  # r(v,1,lo-1) can repeat a value atom r(v,1,1)
+    return _seeds(enc.value_table, enc.row.order, state)
 
 
 def pruned_domains(enc: Encoding, assignment) -> DomainState:

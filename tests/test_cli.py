@@ -480,6 +480,16 @@ def test_check_default_level_follows_encoding(capsys):
     assert out == "agree 10/10\n"
 
 
+@pytest.mark.parametrize("encoding", ["bound", "range"])
+def test_check_holds_a_hall_limited_encoding_to_its_level_from_within(capsys, encoding):
+    # a Hall limit drops counting rules, so propagation may prune less
+    # than the full level; held to equality, seed 1 disagreed on a trial
+    code, out, _ = run(
+        capsys, "check", "-e", encoding, "--hall-limit", "1", "--trials", "200", "--seed", "1"
+    )
+    assert (code, out) == (0, "agree 200/200\n")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

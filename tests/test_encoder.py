@@ -192,16 +192,22 @@ def test_interval_seeds_for_the_hall_example():
     ]
 
 
-def test_interval_seeds_cover_every_box_inside_a_gap():
+def test_interval_seeds_reach_every_box_inside_a_gap_by_propagation():
+    # v1 = 3 seeds only the false singletons of the removed 1, 2 and 4;
+    # the domain rules carry them to every box inside the gaps [1,2] and
+    # [4,4], so r(v1,1,2) needs no seed of its own
     state = DomainState(
         {"v1": (3,), "v2": (1, 2, 3, 4), "v3": (1, 2, 3, 4), "v4": (1, 2, 3, 4)}
     )
-    assert seeds_of("range", parse_instance(HALL_WINDOW), state) == [
-        "F r(v1,1,1)",
-        "F r(v1,1,2)",
-        "F r(v1,2,2)",
-        "F r(v1,4,4)",
-    ]
+    enc = encode(parse_instance(HALL_WINDOW), EncodingKind("range"))
+    seeds = seed_assignment(enc, state)
+    assert sorted(map(str, seeds)) == ["F r(v1,1,1)", "F r(v1,2,2)", "F r(v1,4,4)"]
+    store = completion_nogoods(expand_cardinality(enc.program, "counter"))
+    nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
+    derived, status = propagate_naive(nogoods, seeds)
+    assert status == "success"
+    false = {str(s.entity) for s in derived if not s.truth}
+    assert {"r(v1,1,1)", "r(v1,1,2)", "r(v1,2,2)", "r(v1,4,4)"} <= false
 
 
 def test_value_seeds_list_missing_values():
@@ -656,8 +662,10 @@ def test_tables_of_one_signature_share_their_boxes(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["direct", "support"])
 def test_tables_of_one_signature_share_their_tuples(kind, monkeypatch):
-    # support reads both the allowed and the forbidden tuples of each of
-    # the 16 edge tables; one analysis serves all of them
+    # direct reads the forbidden tuples of each of the 16 edge tables, and
+    # support three parts built on their allowed ones: the tuples, the
+    # pairwise supports and the per-combination rows.  One analysis
+    # serves all 16 tables, however many of its parts a translation reads
     calls = []
     analyse = encoder._table_tuples
 
