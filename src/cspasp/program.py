@@ -136,8 +136,6 @@ Rule = Union[NormalRule, ChoiceRule, IntegrityRule, CardinalityRule]
 def make_cardinality(bound: int, literals) -> CardinalityRule | None:
     """``:- bound {literals}``, or None when vacuously satisfied."""
     literals = tuple(literals)
-    if bound < 1:
-        raise ValueError("cardinality bound must be at least 1")
     if bound > len(literals):
         return None
     return CardinalityRule(bound, literals)

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
-UNASSIGNED, TRUE, FALSE = 0, 1, 2
-
 
 class SignedLiteral(NamedTuple):
     """``T entity`` or ``F entity``."""
@@ -60,13 +58,12 @@ class BodyId:
 class Nogood:
     """A list of literal codes; positions 0 and 1 are the watches."""
 
-    __slots__ = ("lits", "learned", "activity", "deleted")
+    __slots__ = ("lits", "learned", "activity")
 
     def __init__(self, lits: list[int], learned: bool):
         self.lits = lits
         self.learned = learned
         self.activity = 0.0
-        self.deleted = False
 
     def __repr__(self):  # debugging aid only
         return "Nogood(%r%s)" % (self.lits, ", learned" if self.learned else "")
@@ -214,26 +211,34 @@ class NogoodStore:
         before = pos_of[implied >> 1]
         return [implied ^ 1] + [c for c in held if pos_of[c >> 1] < before]
 
-    def delete(self, ng_ids: Iterable[int]) -> None:
-        """Delete learned nogoods: mark them, release their literals and
-        drop them from the watch lists of their two watched literals,
-        keeping the others' order."""
+    def delete(self, ng_ids: Iterable[int], trail: Trail) -> None:
+        """Delete learned nogoods, none a unit or a reason on ``trail``, and
+        renumber the rest in order: in the watch lists, ``units``, the
+        dedupe keys and the reasons of the codes on ``trail``."""
         gone = set(ng_ids)
-        touched = set()
-        for ng_id in gone:
-            ng = self.nogoods[ng_id]
-            if not ng.learned:
-                raise ValueError("static nogoods are permanent")
-            ng.deleted = True
-            touched.update(ng.lits[:2])
-            ng.lits = []
-        for c in touched:
-            _drop(self.watches[c], gone)
+        nogoods = self.nogoods
+        if not all(nogoods[i].learned for i in gone):
+            raise ValueError("static nogoods are permanent")
+        kept = [i for i in range(len(nogoods)) if i not in gone]
+        new_id = [0] * len(nogoods)  # read for kept ids only
+        for j, i in enumerate(kept):
+            new_id[i] = j
+        nogoods[:] = map(nogoods.__getitem__, kept)
+        self.skip[:] = map(self.skip.__getitem__, kept)
+        for wl in self.watches:
+            wl[:] = [new_id[i] for i in wl if i not in gone]
+        self.units[:] = map(new_id.__getitem__, self.units)
+        self._static_keys = {key: new_id[i] for key, i in self._static_keys.items()}
+        reason_of = trail.reason_of
+        for c in trail.codes:
+            r = reason_of[c >> 1]
+            if r is not None and r >= 0:
+                reason_of[c >> 1] = new_id[r]
 
 
 class EntityValues:
     """Read-only per-entity view of a trail's literal array: ``values[i]``
-    is UNASSIGNED, TRUE or FALSE for entity index ``i``."""
+    is 0 (unassigned), 1 (true) or 2 (false) for entity index ``i``."""
 
     __slots__ = ("_lit",)
 
@@ -431,11 +436,7 @@ def _drop(wl: list[int], gone: set[int]) -> None:
 def dump_nogoods(store: NogoodStore) -> str:
     """Text dump: one nogood per line, literals in code order, then one
     ``:- k {l1; ...; ln}`` line per cardinality constraint."""
-    lines = []
-    for ng in store.nogoods:
-        if ng.deleted:
-            continue
-        lines.append(", ".join(str(store.literal(c)) for c in sorted(ng.lits)))
+    lines = [", ".join(str(store.literal(c)) for c in sorted(ng.lits)) for ng in store.nogoods]
     for bound, lits in store.cardinalities:
         names = "; ".join(str(store.literal(c)) for c in lits)
         lines.append(f":- {bound} {{{names}}}")

@@ -25,8 +25,9 @@ Everything here is deterministic: ties break on entity index, restarts
 follow the Luby sequence, and no randomness is involved, so a freshly
 built store always reproduces the same run and statistics under any
 budget that does not cut it short.  The search appends its learned
-nogoods to the store it is given and reorders that store's watches in
-place.
+nogoods to the store it is given, reorders its watches in place and,
+past the learned cap, deletes learned nogoods and renumbers the rest, so
+an id taken before a search may name another nogood after it.
 """
 
 from __future__ import annotations
@@ -165,9 +166,6 @@ class _Search:
         self.phase = bytearray(n)
         self.restart_index = 1
         self.budget = LUBY_UNIT * luby(1)
-        self.n_learned_live = sum(
-            1 for ng in store.nogoods if ng.learned and not ng.deleted
-        )
         self.deadline = None
         if cfg.timeout_s is not None:
             self.deadline = time.perf_counter() + cfg.timeout_s
@@ -218,7 +216,7 @@ class _Search:
     def reduce_learned(self) -> None:
         store = self.store
         cap = int(LEARNED_CAP_FACTOR * max(100, store.n_static))
-        if self.n_learned_live <= cap:
+        if len(store.nogoods) - store.n_static <= cap:
             return
         # only reasons of literals still on the trail are in use; reason_of
         # keeps stale entries for entities that were unassigned since (a
@@ -228,12 +226,11 @@ class _Search:
         victims = [
             i
             for i, ng in enumerate(store.nogoods)
-            if ng.learned and not ng.deleted and i not in locked and len(ng.lits) > 2
+            if ng.learned and i not in locked and len(ng.lits) > 2
         ]
         victims.sort(key=lambda i: store.nogoods[i].activity)
         del victims[len(victims) // 2:]
-        store.delete(victims)
-        self.n_learned_live -= len(victims)
+        store.delete(victims, self.trail)
 
     # -- main loop -------------------------------------------------------------
 
@@ -295,7 +292,6 @@ class _Search:
                 ng_id = store.add_codes(learned, learned=True)
                 store.nogoods[ng_id].activity = self.bump
                 stats.learned += 1
-                self.n_learned_live += 1
                 if len(learned) > 1:
                     trail.assign(learned[0] ^ 1, ng_id)
                 # a unit learned nogood lands in the store's unit queue and
@@ -325,7 +321,7 @@ def _verify_static(store: NogoodStore, trail: Trail) -> None:
     and no cardinality constraint may have its bound of literals hold."""
     held = trail.lit.__getitem__
     for ng in store.nogoods:
-        if ng.learned or ng.deleted:
+        if ng.learned:
             continue
         if all(map(held, ng.lits)):
             raise RuntimeError("model violates a static nogood; solver bug")

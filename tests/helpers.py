@@ -101,6 +101,19 @@ def check_trail(store, trail) -> None:
             assert len(lits) >= store.cardinalities[~reason].bound
 
 
+
+def check_watches(store) -> None:
+    """Each nogood of two or more codes is watched on its first two,
+    exactly once each, and its skip key is those two codes xor-ed and
+    xor 1."""
+    want = [[] for _ in store.watches]
+    for ng_id, ng in enumerate(store.nogoods):
+        if len(ng.lits) > 1:
+            want[ng.lits[0]].append(ng_id)
+            want[ng.lits[1]].append(ng_id)
+            assert store.skip[ng_id] == ng.lits[0] ^ ng.lits[1] ^ 1
+    assert [sorted(wl) for wl in store.watches] == want
+
 def all_subsets(atoms):
     for r in range(len(atoms) + 1):
         yield from (frozenset(c) for c in itertools.combinations(atoms, r))

@@ -75,6 +75,12 @@ def test_cardinality_rule_validation():
     assert make_cardinality(3, lits((a, True), (b, True))) is None
     rule = make_cardinality(2, lits((a, True), (b, True)))
     assert rule.bound == 2
+    # no bound below 1 is above the literal count, so the rule rejects it
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            make_cardinality(bound, lits((a, True)))
+        with pytest.raises(ValueError, match="at least 1"):
+            make_cardinality(bound, ())
 
 
 # -- cardinality normalization ----------------------------------------------------

@@ -12,7 +12,7 @@ from cspasp.propagation import (
     unit_propagate,
 )
 
-from .helpers import sl
+from .helpers import check_watches, sl
 from .oracles import propagate_naive
 
 
@@ -124,18 +124,6 @@ def check_views(store, trail):
         assert trail.holds(f) == trail.falsified(t) == (lit[f] == 1)
 
 
-def check_watches(store):
-    """Each live nogood is watched on its first two codes, exactly once
-    each, and its skip key is those two codes xor-ed and xor 1."""
-    want = [[] for _ in store.watches]
-    for ng_id, ng in enumerate(store.nogoods):
-        if len(ng.lits) > 1 and not ng.deleted:
-            want[ng.lits[0]].append(ng_id)
-            want[ng.lits[1]].append(ng_id)
-            assert store.skip[ng_id] == ng.lits[0] ^ ng.lits[1] ^ 1
-    assert [sorted(wl) for wl in store.watches] == want
-
-
 def test_trail_views_agree_over_random_assign_and_backjump():
     rng = random.Random("views")
     for trial in range(300):
@@ -169,6 +157,17 @@ def test_trail_views_agree_over_random_assign_and_backjump():
         trail.backjump(0)
         check_views(store, trail)
         assert all(trail.level_of[c >> 1] == 0 for c in trail.codes)
+
+
+def test_deleting_a_static_nogood_is_refused_and_changes_nothing():
+    store = NogoodStore()
+    static = store.add([sl("a", True), sl("b", True)])
+    learned = store.add([sl("a", False), sl("b", False), sl("c", True)], learned=True)
+    before = list(store.nogoods)
+    with pytest.raises(ValueError, match="permanent"):
+        store.delete([learned, static], Trail(store))
+    assert store.nogoods == before
+    check_watches(store)
 
 
 def test_decision_levels_recorded():

@@ -37,6 +37,7 @@ from cspasp.solver import (
 
 from .helpers import (
     check_trail,
+    check_watches,
     random_cardinality_rule,
     random_tight_program,
     sl,
@@ -190,6 +191,7 @@ def test_string_hash_salt_does_not_reach_the_output():
 PINNED_SEARCHES = [
     ("php7", "direct", (UNSAT, 786, 692, 8208, 6, 691)),
     ("php7", "support", (UNSAT, 786, 692, 8172, 6, 691)),
+    ("php8", "support", (UNSAT, 5971, 4972, 68801, 30, 4971)),
     ("php7", "bound", (UNSAT, 0, 1, 15, 0, 0)),
     ("php7", "range", (UNSAT, 0, 1, 7, 0, 0)),
     ("ggp4", "support", (SAT, 841, 352, 22654, 4, 352)),
@@ -198,6 +200,7 @@ PINNED_SEARCHES = [
 ]
 PINNED_INSTANCES = {
     "php7": lambda: gen_php(7),
+    "php8": lambda: gen_php(8),
     "ggp4": lambda: gen_ggp_double_wheel(4),
     "qcp8": lambda: gen_qcp(8, 30, 0),  # order 8, 30% filled, seed 0
 }
@@ -372,6 +375,7 @@ def test_reduction_spares_only_reasons_on_the_live_trail(monkeypatch):
         store.add([sl(f"{name}{k}", True) for k in range(3)], learned=True)
         for name in ("s", "i", "l")
     )
+    before = list(store.nogoods)
     store.nogoods[idle].activity = 1.0  # so the halving deletes the stale one
     # learned cap: int(0.01 * max(100, 0 static nogoods)) = 1 < 3 learned
     search = _Search(store, SolverConfig())
@@ -382,12 +386,41 @@ def test_reduction_spares_only_reasons_on_the_live_trail(monkeypatch):
     trail.new_level()
     trail.assign(store.code(sl("l0", False)), live)
     search.reduce_learned()
-    deleted = [store.nogoods[i].deleted for i in (stale, idle, live)]
-    assert deleted == [True, False, False]
-    assert store.nogoods[stale].lits == []  # released, not kept for the search
-    # a deleted nogood leaves the watch lists at once; the rest stay watched
+    # the stale nogood leaves the store; the others keep their order
+    assert store.nogoods == [before[idle], before[live]]
+    # the reason of "l0" follows its nogood to the new numbering
+    assert store.nogoods[trail.reason_of[store.index_of("l0")]] is before[live]
+    # the watch lists hold the survivors' new ids, twice each, and no other
     watched = [ng_id for wl in store.watches for ng_id in wl]
-    assert sorted(watched) == sorted(2 * [idle, live])
+    assert sorted(watched) == [0, 0, 1, 1]
+    check_watches(store)
+
+
+def test_reduction_keeps_the_store_to_its_live_nogoods():
+    store = php_store(8)  # about 5,000 conflicts against a cap of 1,000
+    assert solve(store).status == UNSAT
+    assert all(ng.lits for ng in store.nogoods)
+    n_learned = sum(ng.learned for ng in store.nogoods)
+    assert n_learned == len(store.nogoods) - store.n_static
+    assert n_learned <= int(solver_module.LEARNED_CAP_FACTOR * max(100, store.n_static)) + 1
+    check_watches(store)
+
+
+def test_a_static_nogood_dedupes_to_its_id_after_a_reduction(monkeypatch):
+    monkeypatch.setattr(solver_module, "LEARNED_CAP_FACTOR", 0.01)
+    store = NogoodStore()
+    first = store.add([sl(f"a{k}", True) for k in range(3)], learned=True)
+    static = store.add([sl("s0", True), sl("s1", False)])
+    store.add([sl(f"b{k}", True) for k in range(3)], learned=True)
+    # learned cap: int(0.01 * max(100, 1 static nogood)) = 1 < 2 learned;
+    # the two tie on activity, so the halving deletes the first
+    _Search(store, SolverConfig()).reduce_learned()
+    assert (first, static) == (0, 1) and len(store) == 2
+    assert store.n_static == 1
+    assert store.add([sl("s1", False), sl("s0", True)]) == 0
+    assert not store.nogoods[0].learned
+    assert store.n_static == 1 and len(store) == 2
+    check_watches(store)
 
 
 def test_activities_stay_finite_past_the_overflow_point():
