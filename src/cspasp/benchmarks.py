@@ -23,7 +23,7 @@ from .csp import (
     DomainState,
     VariableDecl,
 )
-from .encoder import EncodingKind, encode, run
+from .encoder import encode, run
 from .errors import CapExceeded
 
 # -- pigeonhole ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .benchmarks import (
     random_state,
     run_suite,
 )
-from .csp import LEVELS, consistency_oracle, format_instance, parse_instance
+from .csp import consistency_oracle, format_instance, parse_instance
 from .encoder import (
     ENCODING_NAMES,
     TRANSLATIONS,
@@ -186,7 +186,7 @@ def _cmd_check(args) -> int:
                                ("--max-dom", args.max_dom, 1), ("--trials", args.trials, 0)):
         _require_at_least(flag, value, least)
     kind = _kind(args)
-    level = args.level or TRANSLATIONS[kind.name].level
+    level = TRANSLATIONS[kind.name].level
     hole_free = TRANSLATIONS[kind.name].order  # order encodings see only a state's ends
     rng = random.Random(f"check:{args.seed}")
     agreed = skipped = 0
@@ -301,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("check",
                             help="compare propagation against the consistency oracle")
     _add_encoding_flags(p)
-    p.add_argument("--level", choices=LEVELS, default=None,
-                   help="oracle level (default depends on the encoding)")
     p.add_argument("--trials", type=int, default=100,
                    help="random instance/state pairs to compare")
     p.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import CapExceeded
 from .text import INSTANCE, INT, NAME, Tokens

@@ -279,7 +279,7 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     body_ids: dict[frozenset, int] = {}  # frozenset of lit codes -> entity index
     normal_bodies: dict[Atom, list[int]] = {}
     choice_bodies: dict[Atom, list[int]] = {}
-    add = store.add_static_codes
+    add = store.add_codes
 
     def body_codes(body: tuple[Lit, ...]) -> list[int]:
         return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
@@ -299,10 +299,10 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         body_ids.setdefault(key, bidx)
         fb = 2 * bidx + 1
         tb = 2 * bidx
-        add(sorted(key | {fb}))
+        add(sorted(key | {fb}), False)
         for lc in lit_codes:
             # complement of the body literal together with T beta
-            add(sorted({lc ^ 1, tb}))
+            add(sorted({lc ^ 1, tb}), False)
         return bidx
 
     for rule in program.rules:
@@ -317,9 +317,9 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
                 choice_bodies.setdefault(head, []).append(bidx)
         elif isinstance(rule, IntegrityRule):
             if rule.body:
-                add(body_codes(rule.body))
+                add(body_codes(rule.body), False)
             else:
-                add([2 * intern_body(())])
+                add([2 * intern_body(())], False)
         elif isinstance(rule, CardinalityRule):
             store.add_cardinality(rule.bound, body_codes(rule.literals))
         else:
@@ -332,9 +332,9 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
             continue  # the atom is its body: the body's nogoods define it
         support = {2 * bidx + 1 for bidx in normal}
         support.update(2 * bidx + 1 for bidx in choice_bodies.get(atom, ()))
-        add(sorted(support | {2 * aidx}))
+        add(sorted(support | {2 * aidx}), False)
         for bidx in sorted(set(normal)):
-            add(sorted((2 * bidx, 2 * aidx + 1)))
+            add(sorted((2 * bidx, 2 * aidx + 1)), False)
     return store
 
 

@@ -79,7 +79,10 @@ class Cardinality(NamedTuple):
 class NogoodStore:
     """Nogoods over interned entities, two watched literals per nogood.
 
-    Static nogoods are deduplicated structurally.  Learned nogoods are
+    One method, ``add_codes``, installs every nogood: completion's,
+    the search's learned ones and the blocking nogoods of model
+    enumeration.  Every nogood not learned is static, blocking nogoods
+    included, and is deduplicated structurally; learned nogoods are
     installed verbatim so the caller controls watch order (position 0
     should be the literal that is unit under the current assignment).
     Cardinality constraints sit beside the nogoods, watched on every
@@ -136,29 +139,25 @@ class NogoodStore:
         Literals are deduplicated and sorted by code, which keeps the
         store deterministic no matter how callers ordered them.
         """
-        codes = sorted({self.code(lit) for lit in literals})
-        if learned:
-            return self.add_codes(codes)
-        return self.add_static_codes(codes)
+        return self.add_codes(sorted({self.code(lit) for lit in literals}), learned)
 
-    def add_static_codes(self, codes) -> int:
-        """Fast path for pre-sorted, deduplicated code lists."""
-        key = tuple(codes)
-        hit = self._static_keys.get(key)
-        if hit is not None:
-            return hit
-        ng_id = self.add_codes(codes, learned=False)
-        self._static_keys[key] = ng_id
-        return ng_id
+    def add_codes(self, codes: list[int], learned: bool) -> int:
+        """Install a nogood from raw codes, in watch order; returns its id.
 
-    def add_codes(self, codes, *, learned: bool = True) -> int:
-        """Install a nogood from raw codes, preserving watch order."""
-        codes = list(codes)
+        The store keeps ``codes`` itself, so the caller hands over a list
+        of its own.  A static nogood equal to one already in the store
+        returns that one's id.
+        """
         if not codes:
             raise ValueError("empty nogood: the problem is trivially inconsistent")
-        ng = Nogood(codes, learned)
         ng_id = len(self.nogoods)
-        self.nogoods.append(ng)
+        if not learned:
+            # an id below ng_id is the equal nogood's, already installed
+            ng_id = self._static_keys.setdefault(tuple(codes), ng_id)
+            if ng_id < len(self.nogoods):
+                return ng_id
+            self.n_static += 1
+        self.nogoods.append(Nogood(codes, learned))
         if len(codes) == 1:
             self.units.append(ng_id)
             self.skip.append(0)  # never watched, never read
@@ -166,8 +165,6 @@ class NogoodStore:
             self.skip.append(codes[0] ^ codes[1] ^ 1)
             self.watches[codes[0]].append(ng_id)
             self.watches[codes[1]].append(ng_id)
-        if not learned:
-            self.n_static += 1
         return ng_id
 
     def add_cardinality(self, k: int, codes) -> int | None:
@@ -185,7 +182,7 @@ class NogoodStore:
             return None
         if k == 1:
             for c in lits:
-                self.add_static_codes((c,))
+                self.add_codes([c], False)
             return None
         j = len(self.cardinalities)
         self.cardinalities.append(Cardinality(k, lits))

@@ -289,7 +289,7 @@ class _Search:
                     store.nogoods[conflict].activity += self.bump
                 self.bump /= ACTIVITY_DECAY
                 self.on_backjump(trail.backjump(jump))
-                ng_id = store.add_codes(learned, learned=True)
+                ng_id = store.add_codes(learned, True)
                 store.nogoods[ng_id].activity = self.bump
                 stats.learned += 1
                 if len(learned) > 1:
@@ -377,7 +377,7 @@ def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=
         if len(models) == limit:
             break
         search.on_backjump(trail.backjump(0))
-        # blocking nogoods must never be garbage collected
-        store.add_codes(sorted(decisions), learned=False)
+        # a blocking nogood is static: never deleted, and deduped like any
+        store.add_codes(sorted(decisions), False)
     search.stats.time_ms = int((time.perf_counter() - t0) * 1000)
     return models, search.stats, status

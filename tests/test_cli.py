@@ -457,6 +457,10 @@ def test_usage_errors_exit_one(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--method", "counter"])
         assert exc.value.code == 1
+    # check holds each encoding to its own level, so it takes no --level
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--level", "ac"])
+    assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
@@ -467,8 +471,7 @@ def test_usage_errors_exit_one(capsys):
 
 def test_check_reports_agreement(capsys):
     code, out, _ = run(
-        capsys, "check", "--encoding", "support", "--level", "ac",
-        "--seed", "7", "--trials", "25",
+        capsys, "check", "--encoding", "support", "--seed", "7", "--trials", "25",
     )
     assert code == 0
     assert out == "agree 25/25\n"

@@ -95,6 +95,17 @@ def test_duplicate_static_nogoods_are_collapsed():
     assert len(store) == 1
 
 
+def test_the_store_keeps_the_code_list_it_is_given():
+    store = NogoodStore()
+    store.intern("a")
+    store.intern("b")
+    for learned in (False, True):
+        codes = [2, 1]
+        i = store.add_codes(codes, learned)
+        assert store.nogoods[i].lits is codes
+        assert store.nogoods[i].learned is learned
+
+
 def test_backjump_pops_levels_and_resets_queue():
     store = build_store([[sl("a", True), sl("b", True)]])
     store.intern("c")

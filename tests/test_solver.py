@@ -578,6 +578,20 @@ def test_enumeration_limit_stops_early():
     assert store.n_static == n_static
 
 
+def test_a_blocking_nogood_is_static_and_deduped():
+    program = GroundProgram((ChoiceRule((a, b)),))
+    store = completion_nogoods(program)
+    n_static = store.n_static
+    models, _, status = enumerate_models(store, limit=2)
+    assert status == SAT and len(models) == 2
+    # one blocking nogood, after the first model; no conflict, so nothing learned
+    assert store.n_static == n_static + 1 == len(store)
+    blocking = len(store) - 1
+    lits = [store.literal(c) for c in store.nogoods[blocking].lits]
+    assert store.add(reversed(lits)) == blocking
+    assert len(store) == n_static + 1
+
+
 def test_enumeration_handles_decision_free_models():
     program = GroundProgram((NormalRule(a, ()),))
     models, stats, status = enumerate_models(completion_nogoods(program))
