@@ -237,8 +237,9 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     one normal rule and no choice rule is equivalent to that rule's body,
     so it becomes the body's entity when that body is new (equivalence
     preprocessing, Gebser et al., ECAI 2008); later rules over the same
-    body use the atom.  Such a fact always becomes its own entity, as the
-    empty body is true anyway, so every fact gets the unit {F a}.  Per
+    body use the atom.  The empty body of a fact or a choice rule always
+    holds, so it gets no entity: a fact ``a.`` gives the unit {F a},
+    and the heads of ``{h1; ...; hn}.`` need no support.  Per non-empty
     body beta = {a1..am, not am+1..an}, with beta a BodyId or such an
     atom, the store receives
 
@@ -247,17 +248,18 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
 
     with repeated literals merged, so ``a :- not a`` gives the units
     {F a} and {T a}.  Every other atom a, with body entities
-    beta1..betak (normal and choice), gets
+    beta1..betak (normal and choice), gets {T beta, F a} for each
+    *normal* body, since only normal rules force their head, and, unless
+    it heads a rule with the empty body, the support nogood
 
         {T a, F beta1, ..., F betak}
 
-    plus {T beta, F a} for each *normal* body, since only normal rules
-    force their head.  Atoms that head no rule at all end up with the
-    unit {T a}.  An integrity rule ``:- B`` gives the one nogood B; only
-    ``:- .``, with no literal to put in it, interns the empty body beta
-    and gets {T beta}.  A cardinality rule ``:- k {l1..ln}`` becomes the
-    store's cardinality constraint over the literals' codes (see
-    ``add_cardinality``).
+    Atoms that head no rule at all end up with the unit {T a}.  An
+    integrity rule ``:- B`` gives the one nogood B; only ``:- .``, with
+    no literal to put in it, interns the empty body as a BodyId beta,
+    which gets {F beta} and {T beta}.  A cardinality rule
+    ``:- k {l1..ln}`` becomes the store's cardinality constraint over
+    the literals' codes (see ``add_cardinality``).
 
     Completion characterizes answer sets only for tight programs, so a
     program that is not tight is rejected.
@@ -279,24 +281,24 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     body_ids: dict[frozenset, int] = {}  # frozenset of lit codes -> entity index
     normal_bodies: dict[Atom, list[int]] = {}
     choice_bodies: dict[Atom, list[int]] = {}
+    supported: set[Atom] = set()  # heads of a rule with the empty body
     add = store.add_codes
 
     def body_codes(body: tuple[Lit, ...]) -> list[int]:
         return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
 
     def intern_body(body: tuple[Lit, ...], head: Atom | None = None) -> int:
-        """The body's entity: ``head``'s own if given and the body is new
-        or empty."""
+        """The body's entity: ``head``'s own if given and the body is new."""
         lit_codes = body_codes(body)
         key = frozenset(lit_codes)
         bidx = body_ids.get(key)
-        if bidx is not None and (head is None or key):
+        if bidx is not None:
             return bidx
         if head is None:
             bidx = store.intern(BodyId(store.n_entities - len(atoms)))
         else:
             bidx = atom_idx[head]
-        body_ids.setdefault(key, bidx)
+        body_ids[key] = bidx
         fb = 2 * bidx + 1
         tb = 2 * bidx
         add(sorted(key | {fb}), False)
@@ -306,7 +308,12 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         return bidx
 
     for rule in program.rules:
-        if isinstance(rule, NormalRule):
+        if isinstance(rule, NormalRule) and not rule.body:
+            supported.add(rule.head)
+            add([2 * atom_idx[rule.head] + 1], False)
+        elif isinstance(rule, ChoiceRule) and not rule.body:
+            supported.update(rule.heads)
+        elif isinstance(rule, NormalRule):
             head = rule.head
             own = n_normal[head] == 1 and head not in choice_heads
             bidx = intern_body(rule.body, head if own else None)
@@ -330,9 +337,10 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         normal = normal_bodies.get(atom, [])
         if normal == [aidx]:
             continue  # the atom is its body: the body's nogoods define it
-        support = {2 * bidx + 1 for bidx in normal}
-        support.update(2 * bidx + 1 for bidx in choice_bodies.get(atom, ()))
-        add(sorted(support | {2 * aidx}), False)
+        if atom not in supported:
+            support = {2 * bidx + 1 for bidx in normal}
+            support.update(2 * bidx + 1 for bidx in choice_bodies.get(atom, ()))
+            add(sorted(support | {2 * aidx}), False)
         for bidx in sorted(set(normal)):
             add(sorted((2 * bidx, 2 * aidx + 1)), False)
     return store

@@ -93,13 +93,13 @@ def test_solve_stats_line(capsys, tmp_path):
     assert code == 10
     assert out.splitlines()[-1].startswith("decisions=")
     # the store sizes follow the search counters; under bound the four
-    # b atoms and four r(v,l,u) atoms are entities, and the only body is
-    # the choice rules' empty one
+    # b atoms and four r(v,l,u) atoms are entities, and there is no body:
+    # the choice rules' empty one always holds
     code, out, _ = run(capsys, "solve", "-e", "bound", "--stats", path)
     assert code == 10
     fields = dict(field.split("=") for field in out.splitlines()[-1].split())
     sizes = {k: int(fields[k]) for k in ("entities", "bodies", "nogoods", "cardinalities")}
-    assert sizes == {"entities": 9, "bodies": 1, "nogoods": 19, "cardinalities": 2}
+    assert sizes == {"entities": 8, "bodies": 0, "nogoods": 14, "cardinalities": 2}
 
 
 def test_piped_encode_output_solves_identically(capsys, tmp_path, monkeypatch):
@@ -294,30 +294,29 @@ DEMO = "var x 1 3\nvar y 1 3\nvar z 1 3\nalldifferent x y z\nassign x 2\n"
 BARE = "{a; b}.\n:- a, b.\n:- not a, not b.\n"
 DEMO_ANSWER = "SAT\nx = 2\ny = 3\nz = 1\n"
 TINY_NOGOODS = (
-    "F body#0\nF e(x,1), F e(x,2)\nF e(y,1), F e(y,2)\n"
-    "T e(x,1), T e(y,1)\nT e(x,2), T e(y,2)\nT e(x,1), F body#0\n"
-    "T e(x,2), F body#0\nT e(y,1), F body#0\nT e(y,2), F body#0\n"
+    "F e(x,1), F e(x,2)\nF e(y,1), F e(y,2)\n"
+    "T e(x,1), T e(y,1)\nT e(x,2), T e(y,2)\n"
     ":- 2 {T e(x,1); T e(x,2)}\n:- 2 {T e(y,1); T e(y,2)}\n"
 )
 BENCH_TABLE = (
     "family  params                  encoding  hall_limit  status  decisions"
     "  conflicts  propagations  time_ms  atoms  rules\n"
     "php     n=4                     bound                 UNSAT   0          1"
-    "          9             T        36     46\n"
+    "          8             T        36     46\n"
     "php     n=4                     support               UNSAT   9          7"
-    "          54            T        12     15\n"
+    "          53            T        12     15\n"
     "qcp     order=3,fill=30,seed=1  bound                 SAT     0          0"
-    "          73            T        72     112\n"
+    "          72            T        72     112\n"
     "qcp     order=3,fill=30,seed=1  support               SAT     0          0"
-    "          22            T        21     41\n"
+    "          21            T        21     41\n"
 )
 BENCH_CSV = (
     "family,params,encoding,hall_limit,status,decisions,conflicts,"
     "propagations,time_ms,atoms,rules\n"
-    "php,n=4,bound,,UNSAT,0,1,9,T,36,46\n"
-    "php,n=4,support,,UNSAT,9,7,54,T,12,15\n"
-    'qcp,"order=3,fill=30,seed=1",bound,,SAT,0,0,73,T,72,112\n'
-    'qcp,"order=3,fill=30,seed=1",support,,SAT,0,0,22,T,21,41\n'
+    "php,n=4,bound,,UNSAT,0,1,8,T,36,46\n"
+    "php,n=4,support,,UNSAT,9,7,53,T,12,15\n"
+    'qcp,"order=3,fill=30,seed=1",bound,,SAT,0,0,72,T,72,112\n'
+    'qcp,"order=3,fill=30,seed=1",support,,SAT,0,0,21,T,21,41\n'
 )
 
 # (argv, expected exit code, expected stdout, expected written files)
@@ -331,8 +330,8 @@ PINNED = {
     "bare-enumerate-stats": (
         ["solve", "--enumerate", "0", "--stats", "bare.lp"], 10,
         "MODEL 1\nb\nMODEL 2\na\nmodels = 2\n"
-        "decisions=1 conflicts=0 propagations=4 restarts=0 learned=0 time_ms=T"
-        " entities=3 bodies=1 nogoods=5 cardinalities=0\n",
+        "decisions=1 conflicts=0 propagations=3 restarts=0 learned=0 time_ms=T"
+        " entities=2 bodies=0 nogoods=2 cardinalities=0\n",
         {},
     ),
     "enumerate-0": (
@@ -353,8 +352,8 @@ PINNED = {
     "timeout": (["solve", "--timeout", "0", "php8.csp"], 2, "UNKNOWN\n", {}),
     "timeout-enumerate": (
         ["solve", "--timeout", "0", "--enumerate", "0", "--stats", "php8.csp"], 2,
-        "models = 0\ndecisions=0 conflicts=0 propagations=1 restarts=0 learned=0"
-        " time_ms=T entities=57 bodies=1 nogoods=65 cardinalities=15\n",
+        "models = 0\ndecisions=0 conflicts=0 propagations=0 restarts=0 learned=0"
+        " time_ms=T entities=56 bodies=0 nogoods=8 cardinalities=15\n",
         {},
     ),
     "unsat-enumerate": (

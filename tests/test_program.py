@@ -208,7 +208,7 @@ def test_integrity_rule_completes_to_one_nogood_over_its_body():
         (ChoiceRule((a, b)), IntegrityRule(lits((a, True), (b, False))))
     )
     store = completion_nogoods(program)
-    assert store.entities == [a, b, BodyId(0)]  # body#0 is the choice's empty body
+    assert store.entities == [a, b]  # the choice's empty body has no entity
     shapes = [{store.literal(code) for code in ng.lits} for ng in store.nogoods]
     constraint = {SignedLiteral(a, True), SignedLiteral(b, False)}
     assert shapes.count(constraint) == 1
@@ -276,7 +276,7 @@ def shape(*pairs):
 def test_single_rule_atom_is_its_own_body_entity():
     program = GroundProgram((ChoiceRule((b, c)), NormalRule(a, lits((b, True), (c, False)))))
     store = completion_nogoods(program)
-    assert store.entities == [b, c, a, BodyId(0)]  # body#0 is the choice's
+    assert store.entities == [b, c, a]
     about_a = [ng for ng in shapes_of(store) if any(lit.entity is a for lit in ng)]
     assert len(about_a) == 3 and set(about_a) == {
         shape((b, True), (c, False), (a, False)),  # {B, F a}
@@ -295,13 +295,9 @@ def test_fact_completes_to_one_unit():
 def test_every_fact_completes_to_a_unit():
     program = GroundProgram((NormalRule(a, ()), NormalRule(b, ()), ChoiceRule((c,))))
     store = completion_nogoods(program)
-    # the choice's empty body is the first fact's entity
+    # the choice's empty body always holds, so c needs no support nogood
     assert store.entities == [a, b, c]
-    assert shapes_of(store) == [
-        shape((a, False)),
-        shape((b, False)),
-        shape((c, True), (a, False)),
-    ]
+    assert shapes_of(store) == [shape((a, False)), shape((b, False))]
     assert store_answer_sets(program) == set(brute_force_answer_sets(program))
 
 
@@ -320,7 +316,7 @@ def test_second_single_rule_atom_over_a_body_is_linked_to_the_first():
         (ChoiceRule((c,)), NormalRule(a, lits((c, True))), NormalRule(b, lits((c, True))))
     )
     store = completion_nogoods(program)
-    assert store.entities == [c, a, b, BodyId(0)]
+    assert store.entities == [c, a, b]
     got = shapes_of(store)
     assert shape((a, True), (b, False)) in got
     assert shape((b, True), (a, False)) in got
@@ -338,13 +334,13 @@ def test_body_shared_with_a_choice_rule(choice_first):
     got = shapes_of(store)
     if choice_first:
         # the choice interned {c} first, so a links to that body
-        assert store.entities == [c, b, a, BodyId(0), BodyId(1)]
-        assert shape((a, True), (BodyId(1), False)) in got
-        assert shape((BodyId(1), True), (a, False)) in got
-        assert shape((b, True), (BodyId(1), False)) in got
+        assert store.entities == [c, b, a, BodyId(0)]
+        assert shape((a, True), (BodyId(0), False)) in got
+        assert shape((BodyId(0), True), (a, False)) in got
+        assert shape((b, True), (BodyId(0), False)) in got
     else:
         # the choice over {c} reuses a's entity as its body
-        assert store.entities == [c, a, b, BodyId(0)]
+        assert store.entities == [c, a, b]
         assert shape((b, True), (a, False)) in got
         assert shape((a, True), (b, False)) not in got  # a choice forces nothing
     assert store_answer_sets(program) == set(brute_force_answer_sets(program))
@@ -355,21 +351,22 @@ def test_atom_with_two_normal_rules_keeps_its_bodies():
         (ChoiceRule((b, c)), NormalRule(a, lits((b, True))), NormalRule(a, lits((c, True))))
     )
     store = completion_nogoods(program)
-    assert store.entities == [b, c, a, BodyId(0), BodyId(1), BodyId(2)]
+    assert store.entities == [b, c, a, BodyId(0), BodyId(1)]
     got = shapes_of(store)
-    assert shape((a, True), (BodyId(1), False), (BodyId(2), False)) in got
+    assert shape((a, True), (BodyId(0), False), (BodyId(1), False)) in got
+    assert shape((BodyId(0), True), (a, False)) in got
     assert shape((BodyId(1), True), (a, False)) in got
-    assert shape((BodyId(2), True), (a, False)) in got
     assert store_answer_sets(program) == set(brute_force_answer_sets(program))
 
 
 def test_choice_head_with_one_normal_rule_keeps_its_body():
     program = GroundProgram((ChoiceRule((a, b)), NormalRule(a, lits((b, True)))))
     store = completion_nogoods(program)
-    assert store.entities == [a, b, BodyId(0), BodyId(1)]
+    assert store.entities == [a, b, BodyId(0)]
     got = shapes_of(store)
-    assert shape((a, True), (BodyId(0), False), (BodyId(1), False)) in got
-    assert shape((BodyId(1), True), (a, False)) in got
+    # the choice's empty body always holds: a has no support nogood
+    assert not any(SignedLiteral(a, True) in ng for ng in got)
+    assert shape((BodyId(0), True), (a, False)) in got
     assert store_answer_sets(program) == set(brute_force_answer_sets(program))
 
 
@@ -380,12 +377,10 @@ def test_empty_integrity_body_beside_a_fact(fact_first):
         rules.reverse()
     program = GroundProgram(rules)
     store = completion_nogoods(program)
-    if fact_first:
-        # ":- ." finds the empty body in a, the fact's own entity
-        assert store.entities == [a]
-        assert sorted(ng.lits for ng in store.nogoods) == [[0], [1]]  # {T a}, {F a}
-    else:
-        assert store.entities == [a, BodyId(0)]
+    # the fact gives no entity for ":- ." to share
+    assert store.entities == [a, BodyId(0)]
+    # {F a}, {T body#0} and {F body#0}
+    assert sorted(ng.lits for ng in store.nogoods) == [[1], [2], [3]]
     assert brute_force_answer_sets(program) == []
     assert solve(store).status == UNSAT
 
@@ -402,7 +397,7 @@ def test_completion_matches_answer_sets_on_random_shared_bodies():
             # only atoms below the head may occur positively: tight
             chosen = rng.sample(atoms[:4], rng.randint(0, 2))
             pool.append(tuple(Lit(at, rng.random() < 0.5) for at in chosen))
-        pool.append(())  # facts, which must not share the empty body
+        pool.append(())  # facts and choices whose body always holds
         rules = [ChoiceRule(tuple(atoms[:2]))]
         for _ in range(rng.randint(1, 6)):
             head = atoms[rng.randrange(4, 6)]
@@ -415,9 +410,8 @@ def test_completion_matches_answer_sets_on_random_shared_bodies():
         store = completion_nogoods(program)
         assert all(len(set(ng.lits)) == len(ng.lits) for ng in store.nogoods)
         units = {ng.lits[0] for ng in store.nogoods if len(ng.lits) == 1}
-        heads = [h for r in rules for h in (r.heads if isinstance(r, ChoiceRule) else (r.head,))]
         for rule in rules:
-            if isinstance(rule, NormalRule) and not rule.body and heads.count(rule.head) == 1:
+            if isinstance(rule, NormalRule) and not rule.body:
                 assert 2 * store.index_of(rule.head) + 1 in units  # the fact's {F a}
         bodies = sum(isinstance(e, BodyId) for e in store.entities)
         collapsed += bodies < len({frozenset(r.body) for r in rules})

@@ -189,13 +189,13 @@ def test_string_hash_salt_does_not_reach_the_output():
 # learned nogoods or the restart schedule moves at least one of them, so a
 # change that claims to keep the search path must keep these.
 PINNED_SEARCHES = [
-    ("php7", "direct", (UNSAT, 786, 692, 8208, 6, 691)),
-    ("php7", "support", (UNSAT, 786, 692, 8172, 6, 691)),
-    ("php8", "support", (UNSAT, 5971, 4972, 68801, 30, 4971)),
-    ("php7", "bound", (UNSAT, 0, 1, 15, 0, 0)),
+    ("php7", "direct", (UNSAT, 786, 692, 8207, 6, 691)),
+    ("php7", "support", (UNSAT, 786, 692, 8171, 6, 691)),
+    ("php8", "support", (UNSAT, 5971, 4972, 68800, 30, 4971)),
+    ("php7", "bound", (UNSAT, 0, 1, 14, 0, 0)),
     ("php7", "range", (UNSAT, 0, 1, 7, 0, 0)),
-    ("ggp4", "support", (SAT, 841, 352, 22654, 4, 352)),
-    ("qcp8", "bound", (SAT, 28, 0, 2725, 0, 0)),
+    ("ggp4", "support", (SAT, 841, 352, 22653, 4, 352)),
+    ("qcp8", "bound", (SAT, 28, 0, 2724, 0, 0)),
     ("qcp8", "range", (SAT, 28, 0, 2276, 0, 0)),
 ]
 PINNED_INSTANCES = {
