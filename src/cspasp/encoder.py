@@ -184,7 +184,8 @@ def encode(instance: CspInstance, kind: EncodingKind) -> Encoding:
             rules.extend(row.table(emap, c, found))
     if row.close is not None:
         rules.extend(row.close(emap))
-    return Encoding(instance, kind, emap, GroundProgram(rules))
+    # a rule that several tables post (QEP's share pairs of cells) is kept once
+    return Encoding(instance, kind, emap, GroundProgram(dict.fromkeys(rules)))
 
 
 # -- direct / support ----------------------------------------------------------

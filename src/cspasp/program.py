@@ -258,8 +258,10 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     integrity rule ``:- B`` gives the one nogood B; only ``:- .``, with
     no literal to put in it, interns the empty body as a BodyId beta,
     which gets {F beta} and {T beta}.  A cardinality rule
-    ``:- k {l1..ln}`` becomes the store's cardinality constraint over
-    the literals' codes (see ``add_cardinality``).
+    ``:- 1 {l1..ln}`` gives a unit {li} per literal; with k >= 2 it becomes
+    the store's cardinality constraint over the literals' codes (see
+    ``add_cardinality``).  Each nogood is installed once, where it first
+    occurs.
 
     Completion characterizes answer sets only for tight programs, so a
     program that is not tight is rejected.
@@ -278,11 +280,17 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         elif isinstance(rule, ChoiceRule):
             choice_heads.update(rule.heads)
 
-    body_ids: dict[frozenset, int] = {}  # frozenset of lit codes -> entity index
+    body_ids: dict[tuple[int, ...], int] = {}  # sorted lit codes -> entity index
     normal_bodies: dict[Atom, list[int]] = {}
     choice_bodies: dict[Atom, list[int]] = {}
     supported: set[Atom] = set()  # heads of a rule with the empty body
-    add = store.add_codes
+    installed: dict[tuple[int, ...], None] = {}  # a dict peaks lower than a set
+
+    def add(codes: list[int]) -> None:
+        key = tuple(codes)
+        if key not in installed:
+            installed[key] = None
+            store.add_codes(codes, False)
 
     def body_codes(body: tuple[Lit, ...]) -> list[int]:
         return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
@@ -290,7 +298,7 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     def intern_body(body: tuple[Lit, ...], head: Atom | None = None) -> int:
         """The body's entity: ``head``'s own if given and the body is new."""
         lit_codes = body_codes(body)
-        key = frozenset(lit_codes)
+        key = tuple(lit_codes)
         bidx = body_ids.get(key)
         if bidx is not None:
             return bidx
@@ -301,16 +309,16 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         body_ids[key] = bidx
         fb = 2 * bidx + 1
         tb = 2 * bidx
-        add(sorted(key | {fb}), False)
+        add(sorted({*key, fb}))
         for lc in lit_codes:
             # complement of the body literal together with T beta
-            add(sorted({lc ^ 1, tb}), False)
+            add(sorted({lc ^ 1, tb}))
         return bidx
 
     for rule in program.rules:
         if isinstance(rule, NormalRule) and not rule.body:
             supported.add(rule.head)
-            add([2 * atom_idx[rule.head] + 1], False)
+            add([2 * atom_idx[rule.head] + 1])
         elif isinstance(rule, ChoiceRule) and not rule.body:
             supported.update(rule.heads)
         elif isinstance(rule, NormalRule):
@@ -324,9 +332,12 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
                 choice_bodies.setdefault(head, []).append(bidx)
         elif isinstance(rule, IntegrityRule):
             if rule.body:
-                add(body_codes(rule.body), False)
+                add(body_codes(rule.body))
             else:
-                add([2 * intern_body(())], False)
+                add([2 * intern_body(())])
+        elif isinstance(rule, CardinalityRule) and rule.bound == 1:
+            for lc in body_codes(rule.literals):
+                add([lc])
         elif isinstance(rule, CardinalityRule):
             store.add_cardinality(rule.bound, body_codes(rule.literals))
         else:
@@ -340,9 +351,9 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         if atom not in supported:
             support = {2 * bidx + 1 for bidx in normal}
             support.update(2 * bidx + 1 for bidx in choice_bodies.get(atom, ()))
-            add(sorted(support | {2 * aidx}), False)
+            add(sorted(support | {2 * aidx}))
         for bidx in sorted(set(normal)):
-            add(sorted((2 * bidx, 2 * aidx + 1)), False)
+            add(sorted((2 * bidx, 2 * aidx + 1)))
     return store
 
 

@@ -82,9 +82,9 @@ class NogoodStore:
     One method, ``add_codes``, installs every nogood: completion's,
     the search's learned ones and the blocking nogoods of model
     enumeration.  Every nogood not learned is static, blocking nogoods
-    included, and is deduplicated structurally; learned nogoods are
-    installed verbatim so the caller controls watch order (position 0
-    should be the literal that is unit under the current assignment).
+    included.  Each is installed verbatim, repeats too, so the caller
+    controls watch order (position 0 should be the literal that is unit
+    under the current assignment); completion drops its own repeats.
     Cardinality constraints sit beside the nogoods, watched on every
     literal; ``nogoods`` and ``n_static`` count nogoods only.
     """
@@ -97,7 +97,6 @@ class NogoodStore:
         self.units: list[int] = []  # ids of size-1 nogoods, never watched
         # indexed by literal code, grown in intern
         self.watches: list[list[int]] = []
-        self._static_keys: dict[tuple[int, ...], int] = {}
         self.n_static = 0
         self.cardinalities: list[Cardinality] = []
         self.card_watches: list[list[int]] = []
@@ -145,17 +144,12 @@ class NogoodStore:
         """Install a nogood from raw codes, in watch order; returns its id.
 
         The store keeps ``codes`` itself, so the caller hands over a list
-        of its own.  A static nogood equal to one already in the store
-        returns that one's id.
+        of its own, and a repeat gets a new id.
         """
         if not codes:
             raise ValueError("empty nogood: the problem is trivially inconsistent")
         ng_id = len(self.nogoods)
         if not learned:
-            # an id below ng_id is the equal nogood's, already installed
-            ng_id = self._static_keys.setdefault(tuple(codes), ng_id)
-            if ng_id < len(self.nogoods):
-                return ng_id
             self.n_static += 1
         self.nogoods.append(Nogood(codes, learned))
         if len(codes) == 1:
@@ -168,21 +162,16 @@ class NogoodStore:
         return ng_id
 
     def add_cardinality(self, k: int, codes) -> int | None:
-        """Install ``:- k {codes}``; returns its id ``~j``.
+        """Install ``:- k {codes}``, k at least 2; returns its id ``~j``.
 
-        Nothing propagates a constraint with k = 1 (no literal needs to
-        hold before the rest are forced), so it goes in as one unit
-        nogood per literal; one with k above the number of distinct
-        literals can never be violated.  Both return None.
+        A constraint with k = 1 is one unit nogood per literal, which the
+        caller installs as such.  One with k above the number of distinct
+        literals can never be violated, and returns None.
         """
         lits = tuple(sorted(set(codes)))
-        if k < 1:
-            raise ValueError("cardinality bound must be at least 1")
+        if k < 2:
+            raise ValueError("cardinality bound must be at least 2")
         if k > len(lits):
-            return None
-        if k == 1:
-            for c in lits:
-                self.add_codes([c], False)
             return None
         j = len(self.cardinalities)
         self.cardinalities.append(Cardinality(k, lits))
@@ -210,8 +199,8 @@ class NogoodStore:
 
     def delete(self, ng_ids: Iterable[int], trail: Trail) -> None:
         """Delete learned nogoods, none a unit or a reason on ``trail``, and
-        renumber the rest in order: in the watch lists, ``units``, the
-        dedupe keys and the reasons of the codes on ``trail``."""
+        renumber the rest in order: in the watch lists, ``units`` and the
+        reasons of the codes on ``trail``."""
         gone = set(ng_ids)
         nogoods = self.nogoods
         if not all(nogoods[i].learned for i in gone):
@@ -225,7 +214,6 @@ class NogoodStore:
         for wl in self.watches:
             wl[:] = [new_id[i] for i in wl if i not in gone]
         self.units[:] = map(new_id.__getitem__, self.units)
-        self._static_keys = {key: new_id[i] for key, i in self._static_keys.items()}
         reason_of = trail.reason_of
         for c in trail.codes:
             r = reason_of[c >> 1]

@@ -377,7 +377,7 @@ def enumerate_models(store: NogoodStore, cfg: SolverConfig | None = None, limit=
         if len(models) == limit:
             break
         search.on_backjump(trail.backjump(0))
-        # a blocking nogood is static: never deleted, and deduped like any
+        # a blocking nogood is static, never deleted, and never a repeat
         store.add_codes(sorted(decisions), False)
     search.stats.time_ms = int((time.perf_counter() - t0) * 1000)
     return models, search.stats, status

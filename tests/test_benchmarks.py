@@ -26,7 +26,7 @@ from cspasp.csp import (
     check_solution,
     format_instance,
 )
-from cspasp.encoder import EncodingKind, EncodingPropagator, encode
+from cspasp.encoder import EncodingKind, EncodingPropagator, encode, run
 from cspasp.program import completion_nogoods
 from cspasp.solver import SAT, UNSAT, solve
 
@@ -288,6 +288,16 @@ def test_double_wheel_gracefulness_by_exhaustive_search():
 
     assert count_graceful(hub_first(3)) == 0
     assert count_graceful(hub_first(4), limit=1) == 1
+
+
+def test_double_wheel_n3_is_refuted_on_the_shipped_path():
+    # test_10's refutation, on the path `cspasp solve` takes: native
+    # cardinality constraints, completion and search in ``run``, within
+    # the same minute (about 5,600 conflicts)
+    enc = encode(gen_ggp_double_wheel(3), EncodingKind("support"))
+    status, answers, stats, _ = run(enc.program, enc, timeout_s=60.0)
+    assert (status, answers) == (UNSAT, [])
+    assert stats.conflicts > 0
 
 
 # -- random instances for oracle comparisons -----------------------------------------

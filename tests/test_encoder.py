@@ -871,8 +871,8 @@ GOLDEN_SHA256 = {
     ("permutation", "range", None): "14d978c28c9c7edc08df6cc4b0369db1d7f9f3187c15bf3603d196215977049f",
     ("permutation", "bound", 1): "25cb15576c0474febb7affa631368e36e3af1aa085fccda68c5c79bbba532142",
     ("permutation", "range", 1): "691f4ff64c7636cf40584979376d2391f6d60d97e362fb03fee1fa28452b1511",
-    ("tables", "direct", None): "3ce9d8a86a2e6e2f1e62164210319046812889e47a54344f4d0c7da402c62ab5",
-    ("tables", "support", None): "636032edce4b3af81936f6a43135902fdab1d9054985f6fe97f5d7266dec511e",
+    ("tables", "direct", None): "17623fd9801a3323a907d1860d09214d3f6146ce3c6da33f1b9525e390b08b15",
+    ("tables", "support", None): "efa353fc492df6f5f7d7a8f26e58c9ca15c9aa38e9a4af90fe54a06563c4f042",
     ("tables", "bound", None): "7d05fce281d8099f5be56c3222f2efb6e9cb9ad11068c01dd1ff8777527d184a",
     ("tables", "range", None): "2c603769240a4b54247ec59630e71aeedadcb5c95c2fbacbbaa7a9146ba1b031",
     ("tables", "bound", 1): "c58873531fa9c27e7ff86b7c54bea267f264ba0dcd8a7c938cd48e344e35436b",
@@ -886,6 +886,19 @@ def test_programs_match_their_golden_digests(key):
     enc = encode(parse_instance(GOLDEN_INSTANCES[instance]), EncodingKind(name, hall))
     text = emit_ground(enc.program)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[key]
+
+
+@pytest.mark.parametrize("name", ENCODING_NAMES)
+@pytest.mark.parametrize("instance", [*GOLDEN_INSTANCES, "QG5-5"])
+def test_no_program_holds_a_repeated_rule(instance, name):
+    # QEP's tables share pairs of cells, so support posts many of its
+    # pairwise rules for several tables
+    if instance == "QG5-5":
+        inst = gen_qep("QG5", 5)
+    else:
+        inst = parse_instance(GOLDEN_INSTANCES[instance])
+    rules = encode(inst, EncodingKind(name)).program.rules
+    assert len(set(rules)) == len(rules)
 
 
 # sha256 of each golden program's completed store, as `--emit-nogoods` writes it

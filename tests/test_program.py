@@ -273,6 +273,27 @@ def shape(*pairs):
     return frozenset(SignedLiteral(entity, truth) for entity, truth in pairs)
 
 
+@pytest.mark.parametrize("rules, want", [
+    # one integrity body, its literals written in two orders
+    ((ChoiceRule((a, b)), IntegrityRule(lits((a, True), (b, True))),
+      IntegrityRule(lits((b, True), (a, True)))),
+     [shape((a, True), (b, True))]),
+    # each atom is its own body, and each body gives the other's nogoods
+    ((NormalRule(a, lits((b, False))), NormalRule(b, lits((a, False)))),
+     [shape((a, False), (b, False)), shape((a, True), (b, True))]),
+    # ":- 1 {a; c}." is a unit per literal, and ":- a." repeats the first
+    ((ChoiceRule((a, c)), CardinalityRule(1, lits((a, True), (c, True))),
+      IntegrityRule(lits((a, True),))),
+     [shape((a, True)), shape((c, True))]),
+], ids=["integrity", "even-loop", "cardinality-one"])
+def test_completion_installs_each_nogood_once(rules, want):
+    program = GroundProgram(rules)
+    store = completion_nogoods(program)
+    assert shapes_of(store) == want
+    assert not store.cardinalities
+    assert store_answer_sets(program) == set(brute_force_answer_sets(program))
+
+
 def test_single_rule_atom_is_its_own_body_entity():
     program = GroundProgram((ChoiceRule((b, c)), NormalRule(a, lits((b, True), (c, False)))))
     store = completion_nogoods(program)

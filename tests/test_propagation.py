@@ -87,12 +87,15 @@ def test_conflict_reports_offending_nogood():
     assert lits == {sl("a", True), sl("b", True)}
 
 
-def test_duplicate_static_nogoods_are_collapsed():
+def test_a_repeated_static_nogood_is_installed_verbatim():
+    # dropping repeats is completion's job; the store installs what it is given
     store = NogoodStore()
     a = store.add([sl("a", True), sl("b", False)])
     b = store.add([sl("b", False), sl("a", True)])
-    assert a == b
-    assert len(store) == 1
+    assert (a, b) == (0, 1)
+    assert store.nogoods[a].lits == store.nogoods[b].lits
+    assert len(store) == store.n_static == 2
+    check_watches(store)
 
 
 def test_the_store_keeps_the_code_list_it_is_given():
@@ -263,10 +266,11 @@ def test_dump_nogoods_writes_cardinality_constraints():
     store = build_store([[sl("a", True), sl("b", True)]])
     codes = [store.code(sl(name, truth)) for name, truth in (("c", True), ("a", False), ("b", True))]
     assert store.add_cardinality(2, codes) == ~0
-    store.add_cardinality(1, [store.code(sl("d", True))])  # a unit nogood
+    with pytest.raises(ValueError, match="at least 2"):
+        # k = 1 is a unit nogood per literal, which completion installs
+        store.add_cardinality(1, [store.code(sl("d", True))])
     assert store.add_cardinality(4, codes) is None  # vacuous
     assert dump_nogoods(store).splitlines() == [
         "T a, T b",
-        "T d",
         ":- 2 {F a; T b; T c}",
     ]

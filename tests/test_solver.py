@@ -406,23 +406,6 @@ def test_reduction_keeps_the_store_to_its_live_nogoods():
     check_watches(store)
 
 
-def test_a_static_nogood_dedupes_to_its_id_after_a_reduction(monkeypatch):
-    monkeypatch.setattr(solver_module, "LEARNED_CAP_FACTOR", 0.01)
-    store = NogoodStore()
-    first = store.add([sl(f"a{k}", True) for k in range(3)], learned=True)
-    static = store.add([sl("s0", True), sl("s1", False)])
-    store.add([sl(f"b{k}", True) for k in range(3)], learned=True)
-    # learned cap: int(0.01 * max(100, 1 static nogood)) = 1 < 2 learned;
-    # the two tie on activity, so the halving deletes the first
-    _Search(store, SolverConfig()).reduce_learned()
-    assert (first, static) == (0, 1) and len(store) == 2
-    assert store.n_static == 1
-    assert store.add([sl("s1", False), sl("s0", True)]) == 0
-    assert not store.nogoods[0].learned
-    assert store.n_static == 1 and len(store) == 2
-    check_watches(store)
-
-
 def test_activities_stay_finite_past_the_overflow_point():
     # entity and learned-nogood activities share one bump, divided by the
     # decay on every conflict; started near the float limit, the search
@@ -578,7 +561,7 @@ def test_enumeration_limit_stops_early():
     assert store.n_static == n_static
 
 
-def test_a_blocking_nogood_is_static_and_deduped():
+def test_a_blocking_nogood_is_static():
     program = GroundProgram((ChoiceRule((a, b)),))
     store = completion_nogoods(program)
     n_static = store.n_static
@@ -586,10 +569,6 @@ def test_a_blocking_nogood_is_static_and_deduped():
     assert status == SAT and len(models) == 2
     # one blocking nogood, after the first model; no conflict, so nothing learned
     assert store.n_static == n_static + 1 == len(store)
-    blocking = len(store) - 1
-    lits = [store.literal(c) for c in store.nogoods[blocking].lits]
-    assert store.add(reversed(lits)) == blocking
-    assert len(store) == n_static + 1
 
 
 def test_enumeration_handles_decision_free_models():
