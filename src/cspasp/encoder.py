@@ -363,7 +363,8 @@ def _bound_table(emap, c, found):
 def _define_interval_atoms(emap):
     """One rule r(v,l,u) :- not b(v,l-1), b(v,u) for each interval atom,
     all of which the counting rules read; the completion of that one rule
-    ties the atom to both endpoints."""
+    ties the atom to both endpoints, and makes r(v,1,u), whose body is
+    b(v,u) alone, an alias of b(v,u)."""
     b = emap.b_atom
     pos, neg = emap.lits.pos, emap.lits.neg
     linked = [key[1:] for key in emap.atoms if key[0] == "r"]
@@ -708,7 +709,8 @@ def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, lim
     instance, and a model that decodes to a non-solution raises
     ValueError instead of being reported.  Without one, an answer lists
     the program's true atoms in program order.  ``sizes`` counts the
-    completed store before the search adds nogoods to it.
+    completed store before the search adds nogoods to it, and the atoms
+    it substituted (``aliases``).
     """
     store = completion_nogoods(program)
     sizes = {
@@ -716,6 +718,7 @@ def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, lim
         "bodies": sum(isinstance(e, BodyId) for e in store.entities),
         "nogoods": store.n_static,
         "cardinalities": len(store.cardinalities),
+        "aliases": len(store.aliases),
     }
     models, stats, status = enumerate_models(store, SolverConfig(timeout_s=timeout_s), limit)
     answers = []
@@ -753,10 +756,10 @@ class EncodingPropagator:
         self._values = _value_table(enc, self._code)
 
     def _code(self, atom: Atom, truth: bool) -> int:
-        idx = self.store.index_of(atom)
-        if idx is None:
+        code = self.store.code(SignedLiteral(atom, truth))
+        if code >= len(self.trail.lit):
             raise RuntimeError(f"value atom {atom!r} is not in the completed program")
-        return 2 * idx + (0 if truth else 1)
+        return code
 
     def propagate(self, state: DomainState) -> DomainState | None:
         """UP fixpoint from the state's seed, within the state; None

@@ -7,7 +7,6 @@ integrity rules.  Everything is fully ground.
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -204,44 +203,118 @@ def normalize_cardinality(program: GroundProgram) -> GroundProgram:
 
 def is_tight(program: GroundProgram) -> bool:
     """True iff the positive head-to-body dependency graph is acyclic."""
-    graph: dict[Atom, set[Atom]] = {}
+    succ: dict[Atom, list[Atom]] = {}
     for rule in program.rules:
         if isinstance(rule, NormalRule):
-            heads: tuple[Atom, ...] = (rule.head,)
-            body = rule.body
+            _depend(succ, (rule.head,), rule.body)
         elif isinstance(rule, ChoiceRule):
-            heads = rule.heads
-            body = rule.body
-        else:
-            continue
-        positive = [lit.atom for lit in body if lit.positive]
+            _depend(succ, rule.heads, rule.body)
+    return _acyclic(succ)
+
+
+def _depend(succ: dict[Atom, list[Atom]], heads, body) -> None:
+    """Add the edges from each head to the body's positive atoms."""
+    positive = [lit.atom for lit in body if lit.positive]
+    if positive:
         for head in heads:
-            graph.setdefault(head, set()).update(positive)
-    try:
-        for _ in graphlib.TopologicalSorter(graph).static_order():
-            pass
-    except graphlib.CycleError:
-        return False
-    return True
+            succ.setdefault(head, []).extend(positive)
+
+
+def _acyclic(succ: dict[Atom, list[Atom]]) -> bool:
+    """Kahn's algorithm on the graph with an edge a -> b per b in succ[a].
+
+    Only an atom with an edge out can lie on a cycle, so the graph is
+    cut down to the keys of ``succ``; it is acyclic iff peeling off the
+    atoms that no edge enters, one at a time, peels them all.
+    """
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for b in targets:
+            if b in indegree:
+                indegree[b] += 1
+    free = [a for a, n in indegree.items() if not n]
+    left = len(indegree)
+    while free:
+        left -= 1
+        for b in succ[free.pop()]:
+            if b in indegree:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    free.append(b)
+    return not left
 
 
 # -- completion nogoods --------------------------------------------------------
 
 
+def _substitutes(defined: dict[Atom, Lit]) -> dict[Atom, Lit]:
+    """The literal that each atom of ``defined`` equals, over an atom that
+    stays: ``defined`` maps an atom to the one literal of its one rule.
+
+    A chain resolves to its end.  A loop through the definitions keeps
+    one atom: an even loop keeps the first of its atoms that a walk along
+    the definitions, begun in rule order, comes to, and the others
+    become literals over that atom.  Every atom of an odd loop
+    (a == not a) stays, and so does its definition.
+    """
+    out: dict[Atom, Lit] = {}
+    stays: set[Atom] = set()
+    for atom in defined:
+        path: list[Atom] = []
+        place: dict[Atom, int] = {}
+        while atom in defined and atom not in out and atom not in stays:
+            if atom in place:
+                loop = path[place[atom]:]
+                if sum(not defined[a].positive for a in loop) % 2:
+                    stays.update(loop)
+                    del path[place[atom]:]
+                else:
+                    stays.add(path.pop(place[atom]))
+                break
+            place[atom] = len(path)
+            path.append(atom)
+            atom = defined[atom].atom
+        for a in reversed(path):
+            lit = defined[a]
+            end = out.get(lit.atom)
+            if end is not None:
+                lit = end if lit.positive else Lit(end.atom, not end.positive)
+            out[a] = lit
+    return out
+
+
+def _clashes(codes) -> bool:
+    """Whether distinct codes hold a literal and its complement: two codes
+    of one entity."""
+    return len({c >> 1 for c in codes}) < len(codes)
+
+
 def completion_nogoods(program: GroundProgram) -> NogoodStore:
     """Clark-style completion of a (tight) program as a nogood store.
 
-    Entities are the program's atoms (in first-occurrence order, so they
-    come first) followed by one BodyId per structurally distinct normal
-    or choice body that no atom stands for.  An atom that heads exactly
-    one normal rule and no choice rule is equivalent to that rule's body,
-    so it becomes the body's entity when that body is new (equivalence
-    preprocessing, Gebser et al., ECAI 2008); later rules over the same
-    body use the atom.  The empty body of a fact or a choice rule always
-    holds, so it gets no entity: a fact ``a.`` gives the unit {F a},
-    and the heads of ``{h1; ...; hn}.`` need no support.  Per non-empty
-    body beta = {a1..am, not am+1..an}, with beta a BodyId or such an
-    atom, the store receives
+    First, an atom that heads exactly one normal rule, heads no choice
+    rule, and whose rule's body is one literal l is equivalent to l, so
+    it becomes l (equivalence preprocessing, Gebser et al., ECAI 2008):
+    it gets no entity and no nogoods of its own, and every rule that
+    mentions it uses l's code.  A chain of such atoms resolves to its
+    end.  An even loop through negation, such as ``a :- not b.`` with
+    ``b :- not a.``, keeps one of its atoms, whose rule then reads
+    ``a :- a`` and constrains nothing; an odd loop (a == not a) is
+    completed as it is written.  Each substituted atom is an alias of
+    the store (see ``NogoodStore``), so ``store.code`` and
+    ``Trail.assignment`` still name every atom of the program.
+
+    Entities are the atoms that stay (in first-occurrence order, so they
+    come first) followed by one BodyId per distinct normal or choice
+    body, as a set of literal codes, that no atom stands for.  An atom
+    that stays and heads exactly one normal rule and no choice rule is
+    equivalent to that rule's body, so it becomes the body's entity when
+    that body is new; later rules over the same body use the atom.  The
+    empty body of a fact or a choice rule always holds, so it gets no
+    entity: a fact ``a.`` gives the unit {F a}, and the heads of
+    ``{h1; ...; hn}.`` need no support.  Per non-empty body
+    beta = {a1..am, not am+1..an}, with beta a BodyId or such an atom,
+    the store receives
 
         {T a1, ..., T am, F am+1, ..., F an, F beta}
         {F ai, T beta}  for i <= m      {T aj, T beta}  for j > m
@@ -259,26 +332,48 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     no literal to put in it, interns the empty body as a BodyId beta,
     which gets {F beta} and {T beta}.  A cardinality rule
     ``:- 1 {l1..ln}`` gives a unit {li} per literal; with k >= 2 it becomes
-    the store's cardinality constraint over the literals' codes (see
-    ``add_cardinality``).  Each nogood is installed once, where it first
-    occurs.
+    the store's cardinality constraint over the literals' codes, two
+    literals that became one counted twice (see ``add_cardinality``).
+    Once atoms are substituted, a nogood that holds a literal and its
+    complement can never fire and is dropped; each other nogood is
+    installed once, where it first occurs.
 
     Completion characterizes answer sets only for tight programs, so a
     program that is not tight is rejected.
     """
-    if not is_tight(program):
+    n_normal: dict[Atom, int] = {}
+    choice_heads: set[Atom] = set()
+    single: dict[Atom, Lit] = {}  # head -> the body of a one-literal rule
+    succ: dict[Atom, list[Atom]] = {}  # positive dependencies
+    for rule in program.rules:
+        if isinstance(rule, NormalRule):
+            head = rule.head
+            n_normal[head] = n_normal.get(head, 0) + 1
+            if len(rule.body) == 1:
+                single[head] = rule.body[0]
+            _depend(succ, (head,), rule.body)
+        elif isinstance(rule, ChoiceRule):
+            choice_heads.update(rule.heads)
+            _depend(succ, rule.heads, rule.body)
+    if not _acyclic(succ):
         raise ValueError("program is not tight; completion would be unsound")
+    alias = _substitutes({
+        head: lit for head, lit in single.items()
+        if n_normal[head] == 1 and head not in choice_heads
+    })
 
     store = NogoodStore()
     atoms = program.atoms()
-    atom_idx = {a: store.intern(a) for a in atoms}
-    n_normal: dict[Atom, int] = {}
-    choice_heads: set[Atom] = set()
-    for rule in program.rules:
-        if isinstance(rule, NormalRule):
-            n_normal[rule.head] = n_normal.get(rule.head, 0) + 1
-        elif isinstance(rule, ChoiceRule):
-            choice_heads.update(rule.heads)
+    code: dict[Atom, int] = {}  # atom -> the code of "T atom"
+    for atom in atoms:
+        if atom not in alias:
+            code[atom] = 2 * store.intern(atom)
+    n_atoms = store.n_entities
+    if alias:
+        for atom in atoms:
+            lit = alias.get(atom)
+            if lit is not None:
+                code[atom] = store.aliases[atom] = code[lit.atom] ^ (not lit.positive)
 
     body_ids: dict[tuple[int, ...], int] = {}  # sorted lit codes -> entity index
     normal_bodies: dict[Atom, list[int]] = {}
@@ -293,7 +388,7 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
             store.add_codes(codes, False)
 
     def body_codes(body: tuple[Lit, ...]) -> list[int]:
-        return sorted({2 * atom_idx[l.atom] + (0 if l.positive else 1) for l in body})
+        return sorted({code[l.atom] ^ (not l.positive) for l in body})
 
     def intern_body(body: tuple[Lit, ...], head: Atom | None = None) -> int:
         """The body's entity: ``head``'s own if given and the body is new."""
@@ -303,26 +398,30 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
         if bidx is not None:
             return bidx
         if head is None:
-            bidx = store.intern(BodyId(store.n_entities - len(atoms)))
+            bidx = store.intern(BodyId(store.n_entities - n_atoms))
         else:
-            bidx = atom_idx[head]
+            bidx = code[head] >> 1
         body_ids[key] = bidx
         fb = 2 * bidx + 1
         tb = 2 * bidx
-        add(sorted({*key, fb}))
+        if tb not in key and not (alias and _clashes(key)):
+            add(sorted({*key, fb}))
         for lc in lit_codes:
-            # complement of the body literal together with T beta
-            add(sorted({lc ^ 1, tb}))
+            if lc != tb:
+                # complement of the body literal together with T beta
+                add(sorted({lc ^ 1, tb}))
         return bidx
 
     for rule in program.rules:
         if isinstance(rule, NormalRule) and not rule.body:
             supported.add(rule.head)
-            add([2 * atom_idx[rule.head] + 1])
+            add([code[rule.head] ^ 1])
         elif isinstance(rule, ChoiceRule) and not rule.body:
             supported.update(rule.heads)
         elif isinstance(rule, NormalRule):
             head = rule.head
+            if head in alias:
+                continue  # the substitution is its completion
             own = n_normal[head] == 1 and head not in choice_heads
             bidx = intern_body(rule.body, head if own else None)
             normal_bodies.setdefault(head, []).append(bidx)
@@ -332,19 +431,21 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
                 choice_bodies.setdefault(head, []).append(bidx)
         elif isinstance(rule, IntegrityRule):
             if rule.body:
-                add(body_codes(rule.body))
+                lit_codes = body_codes(rule.body)
+                if not (alias and _clashes(lit_codes)):
+                    add(lit_codes)
             else:
                 add([2 * intern_body(())])
         elif isinstance(rule, CardinalityRule) and rule.bound == 1:
             for lc in body_codes(rule.literals):
                 add([lc])
         elif isinstance(rule, CardinalityRule):
-            store.add_cardinality(rule.bound, body_codes(rule.literals))
+            store.add_cardinality(
+                rule.bound, [code[l.atom] ^ (not l.positive) for l in rule.literals])
         else:
             raise TypeError(f"not a ground rule: {rule!r}")
 
-    for atom in atoms:
-        aidx = atom_idx[atom]
+    for aidx, atom in enumerate(store.entities[:n_atoms]):
         normal = normal_bodies.get(atom, [])
         if normal == [aidx]:
             continue  # the atom is its body: the body's nogoods define it

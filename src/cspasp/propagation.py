@@ -70,7 +70,8 @@ class Nogood:
 
 
 class Cardinality(NamedTuple):
-    """``:- bound {lits}``: fewer than ``bound`` of the literal codes may hold."""
+    """``:- bound {lits}``: fewer than ``bound`` of the literal codes may
+    hold, a repeated code counted once per occurrence."""
 
     bound: int
     lits: tuple[int, ...]
@@ -87,11 +88,18 @@ class NogoodStore:
     under the current assignment); completion drops its own repeats.
     Cardinality constraints sit beside the nogoods, watched on every
     literal; ``nogoods`` and ``n_static`` count nogoods only.
+
+    ``aliases`` maps an entity that has no index of its own to the code
+    of the literal it equals (completion substitutes such atoms).
+    ``code`` resolves them and ``Trail.assignment`` lists them, so a
+    caller that names entities through those two never sees the
+    difference.
     """
 
     def __init__(self):
         self.entities: list[Any] = []
         self._index: dict[Any, int] = {}
+        self.aliases: dict[Any, int] = {}  # entity -> the code of "T entity"
         self.nogoods: list[Nogood] = []
         self.skip: list[int] = []  # per nogood: lits[0] ^ lits[1] ^ 1
         self.units: list[int] = []  # ids of size-1 nogoods, never watched
@@ -113,12 +121,13 @@ class NogoodStore:
             self.card_watches += [], []
         return idx
 
-    def index_of(self, entity) -> int | None:
-        """Index of an already-interned entity, or None."""
-        return self._index.get(entity)
-
     def code(self, lit: SignedLiteral) -> int:
-        return 2 * self.intern(lit.entity) + (0 if lit.truth else 1)
+        """The literal's code; an alias's is that of the literal it
+        equals, and an entity not yet seen is interned."""
+        base = self.aliases.get(lit.entity)
+        if base is None:
+            base = 2 * self.intern(lit.entity)
+        return base if lit.truth else base ^ 1
 
     def literal(self, code: int) -> SignedLiteral:
         return SignedLiteral(self.entities[code >> 1], not (code & 1))
@@ -164,18 +173,20 @@ class NogoodStore:
     def add_cardinality(self, k: int, codes) -> int | None:
         """Install ``:- k {codes}``, k at least 2; returns its id ``~j``.
 
-        A constraint with k = 1 is one unit nogood per literal, which the
-        caller installs as such.  One with k above the number of distinct
-        literals can never be violated, and returns None.
+        A repeated code counts once per occurrence, as the same literal
+        written twice would: ``:- 2 {a; b}`` with b an alias of a fires
+        when a holds.  A constraint with k = 1 is one unit nogood per
+        literal, which the caller installs as such.  One with k above the
+        number of codes can never be violated, and returns None.
         """
-        lits = tuple(sorted(set(codes)))
+        lits = tuple(sorted(codes))
         if k < 2:
             raise ValueError("cardinality bound must be at least 2")
         if k > len(lits):
             return None
         j = len(self.cardinalities)
         self.cardinalities.append(Cardinality(k, lits))
-        for c in lits:
+        for c in set(lits):
             self.card_watches[c].append(j)
         return ~j
 
@@ -306,9 +317,15 @@ class Trail:
         return popped
 
     def assignment(self) -> list[SignedLiteral]:
-        """The current assignment as signed literals, in trail order."""
+        """The current assignment as signed literals, in trail order, then
+        each assigned alias with the value of its literal."""
         literal = self.store.literal
-        return [literal(c) for c in self.codes]
+        out = [literal(c) for c in self.codes]
+        lit = self.lit
+        for entity, code in self.store.aliases.items():
+            if lit[code] or lit[code ^ 1]:
+                out.append(SignedLiteral(entity, lit[code] == 1))
+        return out
 
 
 def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
@@ -420,9 +437,11 @@ def _drop(wl: list[int], gone: set[int]) -> None:
 
 def dump_nogoods(store: NogoodStore) -> str:
     """Text dump: one nogood per line, literals in code order, then one
-    ``:- k {l1; ...; ln}`` line per cardinality constraint."""
+    ``:- k {l1; ...; ln}`` line per cardinality constraint, then one
+    ``a = T b`` or ``a = F b`` line per alias."""
     lines = [", ".join(str(store.literal(c)) for c in sorted(ng.lits)) for ng in store.nogoods]
     for bound, lits in store.cardinalities:
         names = "; ".join(str(store.literal(c)) for c in lits)
         lines.append(f":- {bound} {{{names}}}")
+    lines += [f"{entity} = {store.literal(code)}" for entity, code in store.aliases.items()]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -93,13 +93,15 @@ def test_solve_stats_line(capsys, tmp_path):
     assert code == 10
     assert out.splitlines()[-1].startswith("decisions=")
     # the store sizes follow the search counters; under bound the four
-    # b atoms and four r(v,l,u) atoms are entities, and there is no body:
-    # the choice rules' empty one always holds
+    # b atoms and the two r(v,2,2) are entities, each r(v,1,1) is an alias
+    # of b(v,1), and there is no body: the choice rules' empty one always holds
     code, out, _ = run(capsys, "solve", "-e", "bound", "--stats", path)
     assert code == 10
     fields = dict(field.split("=") for field in out.splitlines()[-1].split())
-    sizes = {k: int(fields[k]) for k in ("entities", "bodies", "nogoods", "cardinalities")}
-    assert sizes == {"entities": 8, "bodies": 0, "nogoods": 14, "cardinalities": 2}
+    keys = ("entities", "bodies", "nogoods", "cardinalities", "aliases")
+    sizes = {k: int(fields[k]) for k in keys}
+    assert sizes == {"entities": 6, "bodies": 0, "nogoods": 10, "cardinalities": 2,
+                     "aliases": 2}
 
 
 def test_piped_encode_output_solves_identically(capsys, tmp_path, monkeypatch):
@@ -288,6 +290,24 @@ def test_solve_keeps_cardinality_rules_as_counting_constraints(capsys, tmp_path)
     assert "_cnt" not in dump.read_text()
 
 
+def test_emit_nogoods_names_each_substituted_atom(capsys, tmp_path):
+    # range defines r(v,2,3) and r(v,3,3) by one literal each: completion
+    # substitutes them, and the dump names each on an alias line of its own
+    src = write(tmp_path, "two.csp", "var x 1 3\nvar y 1 3\nalldifferent x y\n")
+    dump = tmp_path / "ng.txt"
+    code, out, _ = run(capsys, "solve", "-e", "range", "--emit-nogoods", str(dump), src)
+    assert code == 10 and out.startswith("SAT")
+    lines = dump.read_text().splitlines()
+    assert len(lines) == len(set(lines)) == 21  # 14 nogoods, 3 cardinalities, 4 aliases
+    aliases = [line for line in lines if " = " in line]
+    assert aliases == ["r(x,2,3) = F r(x,1,1)", "r(x,3,3) = F r(x,1,2)",
+                       "r(y,2,3) = F r(y,1,1)", "r(y,3,3) = F r(y,1,2)"]
+    named = set(re.findall(r"r\([^)]*\)", "\n".join(lines[:-len(aliases)])))
+    code, program, _ = run(capsys, "encode", "-e", "range", "--no-header", src)
+    atoms = set(re.findall(r"r\([^)]*\)", program))
+    assert atoms - named == {line.split(" = ")[0] for line in aliases}
+
+
 # -- pinned outputs --------------------------------------------------------------
 
 DEMO = "var x 1 3\nvar y 1 3\nvar z 1 3\nalldifferent x y z\nassign x 2\n"
@@ -302,20 +322,20 @@ BENCH_TABLE = (
     "family  params                  encoding  hall_limit  status  decisions"
     "  conflicts  propagations  time_ms  atoms  rules\n"
     "php     n=4                     bound                 UNSAT   0          1"
-    "          8             T        36     46\n"
+    "          4             T        36     46\n"
     "php     n=4                     support               UNSAT   9          7"
     "          53            T        12     15\n"
     "qcp     order=3,fill=30,seed=1  bound                 SAT     0          0"
-    "          72            T        72     112\n"
+    "          54            T        72     112\n"
     "qcp     order=3,fill=30,seed=1  support               SAT     0          0"
     "          21            T        21     41\n"
 )
 BENCH_CSV = (
     "family,params,encoding,hall_limit,status,decisions,conflicts,"
     "propagations,time_ms,atoms,rules\n"
-    "php,n=4,bound,,UNSAT,0,1,8,T,36,46\n"
+    "php,n=4,bound,,UNSAT,0,1,4,T,36,46\n"
     "php,n=4,support,,UNSAT,9,7,53,T,12,15\n"
-    'qcp,"order=3,fill=30,seed=1",bound,,SAT,0,0,72,T,72,112\n'
+    'qcp,"order=3,fill=30,seed=1",bound,,SAT,0,0,54,T,72,112\n'
     'qcp,"order=3,fill=30,seed=1",support,,SAT,0,0,21,T,21,41\n'
 )
 
@@ -331,7 +351,7 @@ PINNED = {
         ["solve", "--enumerate", "0", "--stats", "bare.lp"], 10,
         "MODEL 1\nb\nMODEL 2\na\nmodels = 2\n"
         "decisions=1 conflicts=0 propagations=3 restarts=0 learned=0 time_ms=T"
-        " entities=2 bodies=0 nogoods=2 cardinalities=0\n",
+        " entities=2 bodies=0 nogoods=2 cardinalities=0 aliases=0\n",
         {},
     ),
     "enumerate-0": (
@@ -345,15 +365,15 @@ PINNED = {
     ),
     "stats": (
         ["solve", "-e", "range", "--stats", "demo.csp"], 10,
-        DEMO_ANSWER + "decisions=1 conflicts=0 propagations=17 restarts=0 learned=0"
-        " time_ms=T entities=18 bodies=0 nogoods=44 cardinalities=5\n",
+        DEMO_ANSWER + "decisions=1 conflicts=0 propagations=11 restarts=0 learned=0"
+        " time_ms=T entities=12 bodies=0 nogoods=23 cardinalities=5 aliases=6\n",
         {},
     ),
     "timeout": (["solve", "--timeout", "0", "php8.csp"], 2, "UNKNOWN\n", {}),
     "timeout-enumerate": (
         ["solve", "--timeout", "0", "--enumerate", "0", "--stats", "php8.csp"], 2,
         "models = 0\ndecisions=0 conflicts=0 propagations=0 restarts=0 learned=0"
-        " time_ms=T entities=56 bodies=0 nogoods=8 cardinalities=15\n",
+        " time_ms=T entities=56 bodies=0 nogoods=8 cardinalities=15 aliases=0\n",
         {},
     ),
     "unsat-enumerate": (

@@ -202,9 +202,7 @@ def test_interval_seeds_reach_every_box_inside_a_gap_by_propagation():
     enc = encode(parse_instance(HALL_WINDOW), EncodingKind("range"))
     seeds = seed_assignment(enc, state)
     assert sorted(map(str, seeds)) == ["F r(v1,1,1)", "F r(v1,2,2)", "F r(v1,4,4)"]
-    store = completion_nogoods(expand_cardinality(enc.program, "counter"))
-    nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
-    derived, status = propagate_naive(nogoods, seeds)
+    derived, status = naive_closure(expand_cardinality(enc.program, "counter"), seeds)
     assert status == "success"
     false = {str(s.entity) for s in derived if not s.truth}
     assert {"r(v1,1,1)", "r(v1,1,2)", "r(v1,2,2)", "r(v1,4,4)"} <= false
@@ -355,15 +353,30 @@ def test_propagation_only_prunes(kind_name):
                     assert set(vals) <= set(state[name]), (inst, state, out)
 
 
+def naive_closure(program, seeds):
+    """propagate_naive over the completion of ``program`` from ``seeds``:
+    the literals over the program's atoms that hold at its fixpoint, and
+    its status.  Atoms are named through the store's code lookup, so an
+    atom that completion substituted reads as the literal it equals."""
+    store = completion_nogoods(program)
+    nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
+    derived, status = propagate_naive(nogoods, [store.literal(store.code(s)) for s in seeds])
+    derived = set(derived)
+    held = [
+        s for atom in program.atoms() for s in (SignedLiteral(atom, True), SignedLiteral(atom, False))
+        if store.literal(store.code(s)) in derived
+    ]
+    return held, status
+
+
 def naive_pruning(enc, state):
     """pruned_domains of propagate_naive over a freshly completed store,
     its cardinality rules expanded by the counter ladder, within the state
     (bound seeds only a state's ends, so its readback can hold values the
     state removed); None on a conflict or on a readback that leaves a
     variable with no value."""
-    store = completion_nogoods(expand_cardinality(enc.program, "counter"))
-    nogoods = [[store.literal(c) for c in ng.lits] for ng in store.nogoods]
-    derived, status = propagate_naive(nogoods, seed_assignment(enc, state))
+    program = expand_cardinality(enc.program, "counter")
+    derived, status = naive_closure(program, seed_assignment(enc, state))
     if status == "conflict":
         return None
     pruned = pruned_domains(enc, derived).domains
@@ -905,16 +918,16 @@ def test_no_program_holds_a_repeated_rule(instance, name):
 GOLDEN_STORE_SHA256 = {
     ("permutation", "direct", None): "538f7cc2e45f48947ba376f087a0a473822d84880a2d7d3a2a65075f5cb30115",
     ("permutation", "support", None): "d89699b9126d25e6de03042d2b4dc3a6fe930a261ff9b14d928409ae0c31fd07",
-    ("permutation", "bound", None): "eae8d93d234dfc400139d97a17dc782ffb496b8599781788fcec6e6e090e2813",
-    ("permutation", "range", None): "cc4236f8a0efe019a2d5fc5e0b49227167d5f88360a8b0f2bc6339ad2550568e",
-    ("permutation", "bound", 1): "86d7a55991b6e1a005a62977117d57235c6c2df9795ad7b74bb127bc17c4d5a6",
-    ("permutation", "range", 1): "de956944d1682353e0ebc50112d8651bb909d25d0c10b696364f03e22d53be58",
+    ("permutation", "bound", None): "a6fe0126b9f969f68210a2945e1dab79386e9940750bd0caa727d037c8446a4c",
+    ("permutation", "range", None): "59e321449469a5a924cfff371cb049771a8021854e3718104e71d48b59aa97d5",
+    ("permutation", "bound", 1): "c54fbedf4784ed0604a3f3e9a4f36db74cbfea594aad2b2eb82524cf4899cd4a",
+    ("permutation", "range", 1): "856b73af27ec2f4e6cd639c87386a8da24c3ef7267e5a12c11788a3cef52cb45",
     ("tables", "direct", None): "6792cc6ab6ad26faeb94e726ab9131e775a49eec6aa3da0309c4a40e53500d28",
     ("tables", "support", None): "0513d58e807daac56f363600aeca67991c0837eaf273c210173a1232eac8a9f7",
-    ("tables", "bound", None): "0332b6a4fc271311ee332aeaee651d7f7b08076825adfd5126d5c28397878d61",
-    ("tables", "range", None): "3177f821c303d5b1f68e1b8ec919579817668d91838a852a22e57b2d89015951",
-    ("tables", "bound", 1): "df70633ca031a7ffc892aae3f38901dfb204ef3eab618035c8a4d49652822b53",
-    ("tables", "range", 1): "e94779b92a80a57917a163e3617307e69d313a44c128d8220e668fa8ef2ad754",
+    ("tables", "bound", None): "ae21eebbe3fe14dfb53760297a800703774934381ed68e6e958d2604ef301610",
+    ("tables", "range", None): "c645b08f0f53b204cb761256764393b74f1b4449553cb756ced888dac9fd1531",
+    ("tables", "bound", 1): "d4a1afff338a3d98ee24a4ddc7d617365e8f0e8a8946163b387ddbab47852c42",
+    ("tables", "range", 1): "fd0affd9237ec76fd7c5ddba181b607e77297d32a528bafbe36343111b2659cc",
 }
 
 

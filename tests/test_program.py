@@ -26,8 +26,8 @@ from cspasp.program import (
     parse_ground,
 )
 from cspasp.propagation import BodyId, SignedLiteral
-from cspasp.solver import UNSAT, solve
-from .helpers import random_tight_program, store_answer_sets
+from cspasp.solver import UNSAT, enumerate_models, solve
+from .helpers import random_tight_program, store_answer_sets, true_atoms
 from .oracles import (
     brute_force_answer_sets,
     expand_cardinality,
@@ -278,9 +278,9 @@ def shape(*pairs):
     ((ChoiceRule((a, b)), IntegrityRule(lits((a, True), (b, True))),
       IntegrityRule(lits((b, True), (a, True)))),
      [shape((a, True), (b, True))]),
-    # each atom is its own body, and each body gives the other's nogoods
+    # a becomes "not b" and b's rule reads "b :- b": nothing to install
     ((NormalRule(a, lits((b, False))), NormalRule(b, lits((a, False)))),
-     [shape((a, False), (b, False)), shape((a, True), (b, True))]),
+     []),
     # ":- 1 {a; c}." is a unit per literal, and ":- a." repeats the first
     ((ChoiceRule((a, c)), CardinalityRule(1, lits((a, True), (c, True))),
       IntegrityRule(lits((a, True),))),
@@ -333,16 +333,35 @@ def test_head_in_its_own_negative_body_gives_two_units():
 
 
 def test_second_single_rule_atom_over_a_body_is_linked_to_the_first():
-    program = GroundProgram(
-        (ChoiceRule((c,)), NormalRule(a, lits((c, True))), NormalRule(b, lits((c, True))))
-    )
+    d = Atom("d")
+    body = lits((c, True), (d, False))
+    program = GroundProgram((ChoiceRule((c, d)), NormalRule(a, body), NormalRule(b, body)))
     store = completion_nogoods(program)
-    assert store.entities == [c, a, b]
+    assert store.entities == [c, d, a, b]
     got = shapes_of(store)
     assert shape((a, True), (b, False)) in got
     assert shape((b, True), (a, False)) in got
-    assert shape((c, True), (b, False)) not in got  # b has no body nogoods
-    assert store_answer_sets(program) == {frozenset(), frozenset({a, b, c})}
+    assert shape((c, True), (d, False), (b, False)) not in got  # b has no body nogoods
+    assert store_answer_sets(program) == {
+        frozenset(), frozenset({d}), frozenset({c, d}), frozenset({a, b, c}),
+    }
+
+
+def test_atoms_defined_by_one_literal_become_that_literal():
+    # a and b are c, d is "not c", and e is d, so "not c" too
+    d, e = Atom("d"), Atom("e")
+    program = GroundProgram((
+        ChoiceRule((c,)), NormalRule(a, lits((c, True))), NormalRule(b, lits((c, True))),
+        NormalRule(e, lits((d, True))), NormalRule(d, lits((c, False))),
+    ))
+    store = completion_nogoods(program)
+    assert store.entities == [c]
+    assert store.nogoods == [] and store.n_static == 0
+    assert store.aliases == {a: 0, b: 0, e: 1, d: 1}
+    assert store.code(SignedLiteral(e, False)) == store.code(SignedLiteral(c, True)) == 0
+    want = {frozenset({d, e}), frozenset({a, b, c})}
+    assert set(brute_force_answer_sets(program)) == want
+    assert store_answer_sets(program) == want
 
 
 @pytest.mark.parametrize("choice_first", [False, True])
@@ -353,17 +372,11 @@ def test_body_shared_with_a_choice_rule(choice_first):
     program = GroundProgram([ChoiceRule((c,))] + rules)
     store = completion_nogoods(program)
     got = shapes_of(store)
-    if choice_first:
-        # the choice interned {c} first, so a links to that body
-        assert store.entities == [c, b, a, BodyId(0)]
-        assert shape((a, True), (BodyId(0), False)) in got
-        assert shape((BodyId(0), True), (a, False)) in got
-        assert shape((b, True), (BodyId(0), False)) in got
-    else:
-        # the choice over {c} reuses a's entity as its body
-        assert store.entities == [c, a, b]
-        assert shape((b, True), (a, False)) in got
-        assert shape((a, True), (b, False)) not in got  # a choice forces nothing
+    # a is c and has no rule left, so the choice interns {c} either way
+    assert store.entities == [c, b, BodyId(0)]
+    assert store.aliases == {a: 0}
+    assert shape((b, True), (BodyId(0), False)) in got
+    assert shape((BodyId(0), True), (b, False)) not in got  # a choice forces nothing
     assert store_answer_sets(program) == set(brute_force_answer_sets(program))
 
 
@@ -406,6 +419,14 @@ def test_empty_integrity_body_beside_a_fact(fact_first):
     assert solve(store).status == UNSAT
 
 
+def test_empty_integrity_body_is_numbered_after_the_atoms_that_stay():
+    # a is c, so c is the only atom entity and ":- ." interns body#0
+    program = GroundProgram((ChoiceRule((c,)), NormalRule(a, lits((c, True))), IntegrityRule(())))
+    store = completion_nogoods(program)
+    assert store.entities == [c, BodyId(0)]
+    assert solve(store).status == UNSAT
+
+
 def test_completion_matches_answer_sets_on_random_shared_bodies():
     # bodies drawn from a small pool, so single-rule atoms, atoms with
     # several rules, choice rules and facts often share one body entity
@@ -433,7 +454,7 @@ def test_completion_matches_answer_sets_on_random_shared_bodies():
         units = {ng.lits[0] for ng in store.nogoods if len(ng.lits) == 1}
         for rule in rules:
             if isinstance(rule, NormalRule) and not rule.body:
-                assert 2 * store.index_of(rule.head) + 1 in units  # the fact's {F a}
+                assert store.code(SignedLiteral(rule.head, False)) in units  # the fact's {F a}
         bodies = sum(isinstance(e, BodyId) for e in store.entities)
         collapsed += bodies < len({frozenset(r.body) for r in rules})
         want = set(brute_force_answer_sets(program))
@@ -448,6 +469,75 @@ def test_completion_matches_answer_sets_on_random_tight_programs():
         want = set(brute_force_answer_sets(program))
         got = store_answer_sets(program)
         assert got == want, (trial, emit_ground(program))
+
+
+@pytest.mark.parametrize("rules, cards, want", [
+    # a and b are both c: the rule counts c twice and fires when c holds
+    ((NormalRule(a, lits((c, True))), NormalRule(b, lits((c, True)))),
+     [(2, (0, 0))], [frozenset()]),
+    # a is "not c": one of a and c always holds, so the rule never fires
+    ((NormalRule(a, lits((c, False))), NormalRule(b, lits((c, True)))),
+     [(2, (0, 1))], [frozenset({a}), frozenset({b, c})]),
+], ids=["equal", "complementary"])
+def test_cardinality_rule_counts_literals_that_became_one(rules, cards, want):
+    program = GroundProgram((ChoiceRule((c,)),) + rules
+                            + (CardinalityRule(2, lits((a, True), (b, True))),))
+    store = completion_nogoods(program)
+    assert store.entities == [c]
+    assert [tuple(card) for card in store.cardinalities] == cards
+    assert sorted(brute_force_answer_sets(program)) == sorted(want, key=sorted)
+    assert store_answer_sets(program) == set(want)
+
+
+def test_substitution_matches_answer_sets_on_random_programs():
+    # one-literal rules in chains and in loops through negation, with
+    # integrity and cardinality rules over the atoms they define: each
+    # model names every atom of the program, and the answer sets stay
+    rng = random.Random("substitution")
+    atoms = [Atom("s", (i,)) for i in range(7)]
+    hits = dict.fromkeys(("chain", "even", "odd", "tautology", "cardinality"), 0)
+    for trial in range(300):
+        guess, loop, (head, tail), rest = atoms[:2], atoms[2:4], atoms[4:6], atoms[6:]
+        if rng.random() < 0.5:
+            loop, rest = atoms[2:5], []  # a three-atom loop, and no free atom
+            head, tail = atoms[5:7]
+        rules = [ChoiceRule(tuple(guess + rest))]
+        # a loop through negation: at least one negative step keeps it tight
+        signs = [rng.random() < 0.5 for _ in loop]
+        signs[rng.randrange(len(loop))] = False
+        for atom, nxt, sign in zip(loop, loop[1:] + loop[:1], signs):
+            rules.append(NormalRule(atom, (Lit(nxt, sign),)))
+        # a chain: tail is head, which is a literal over the loop or a guess
+        rules.append(NormalRule(head, (Lit(rng.choice(loop + guess), rng.random() < 0.5),)))
+        rules.append(NormalRule(tail, (Lit(head, rng.random() < 0.5),)))
+        if rng.random() < 0.3:  # a second rule keeps the chain's head
+            rules.append(NormalRule(head, (Lit(rng.choice(guess), False), Lit(tail, False))))
+        body = rules[-1].body if rng.random() < 0.5 else rules[1].body
+        defined = rules[-1].head if body is rules[-1].body else rules[1].head
+        # the defined atom with its literal's complement can never hold
+        rules.append(IntegrityRule((Lit(defined, True), Lit(body[0].atom, not body[0].positive))))
+        pool = [Lit(x, rng.random() < 0.5) for x in rng.sample(atoms, 4)]
+        rules.append(CardinalityRule(rng.randint(1, 3), tuple(pool)))
+        program = GroundProgram(rules)
+        store = completion_nogoods(program)
+
+        even = sum(not sign for sign in signs) % 2 == 0
+        hits["even" if even else "odd"] += sum(x in store.aliases for x in loop) == (
+            len(loop) - 1 if even else 0)
+        hits["chain"] += tail in store.aliases and head in store.aliases
+        hits["tautology"] += defined in store.aliases and len(store.nogoods) == len(
+            completion_nogoods(GroundProgram(rules[:-2] + rules[-1:])).nogoods)
+        codes = [store.code(SignedLiteral(lit.atom, lit.positive)) for lit in pool]
+        hits["cardinality"] += len({code >> 1 for code in codes}) < len(codes)
+
+        want = set(brute_force_answer_sets(program))
+        models, _, status = enumerate_models(store)
+        assert status == UNSAT
+        named = set(program.atoms())
+        for model in models:
+            assert {lit.entity for lit in model if isinstance(lit.entity, Atom)} == named
+        assert {true_atoms(m) for m in models} == want, (trial, emit_ground(program))
+    assert min(hits.values()) >= 10, hits
 
 
 # -- ground text round-trips -------------------------------------------------------

@@ -194,7 +194,7 @@ def test_decision_levels_recorded():
     assert unit_propagate(store, trail) is None
     trail.decide(store.code(sl("c", True)))
     assert unit_propagate(store, trail) is None
-    lvl = lambda name, t: trail.level_of[store.index_of(name)]
+    lvl = lambda name, t: trail.level_of[store.code(sl(name, t)) >> 1]
     assert lvl("a", True) == 1 and lvl("b", False) == 1
     assert lvl("c", True) == 2 and lvl("d", False) == 2
 

@@ -192,11 +192,11 @@ PINNED_SEARCHES = [
     ("php7", "direct", (UNSAT, 786, 692, 8207, 6, 691)),
     ("php7", "support", (UNSAT, 786, 692, 8171, 6, 691)),
     ("php8", "support", (UNSAT, 5971, 4972, 68800, 30, 4971)),
-    ("php7", "bound", (UNSAT, 0, 1, 14, 0, 0)),
+    ("php7", "bound", (UNSAT, 0, 1, 7, 0, 0)),
     ("php7", "range", (UNSAT, 0, 1, 7, 0, 0)),
     ("ggp4", "support", (SAT, 841, 352, 22653, 4, 352)),
-    ("qcp8", "bound", (SAT, 28, 0, 2724, 0, 0)),
-    ("qcp8", "range", (SAT, 28, 0, 2276, 0, 0)),
+    ("qcp8", "bound", (SAT, 28, 0, 2276, 0, 0)),
+    ("qcp8", "range", (SAT, 28, 0, 1828, 0, 0)),
 ]
 PINNED_INSTANCES = {
     "php7": lambda: gen_php(7),
@@ -389,7 +389,7 @@ def test_reduction_spares_only_reasons_on_the_live_trail(monkeypatch):
     # the stale nogood leaves the store; the others keep their order
     assert store.nogoods == [before[idle], before[live]]
     # the reason of "l0" follows its nogood to the new numbering
-    assert store.nogoods[trail.reason_of[store.index_of("l0")]] is before[live]
+    assert store.nogoods[trail.reason_of[store.code(sl("l0", False)) >> 1]] is before[live]
     # the watch lists hold the survivors' new ids, twice each, and no other
     watched = [ng_id for wl in store.watches for ng_id in wl]
     assert sorted(watched) == [0, 0, 1, 1]
