@@ -709,8 +709,9 @@ def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, lim
     instance, and a model that decodes to a non-solution raises
     ValueError instead of being reported.  Without one, an answer lists
     the program's true atoms in program order.  ``sizes`` counts the
-    completed store before the search adds nogoods to it, and the atoms
-    it substituted (``aliases``).
+    completed store before the search adds nogoods to it, the atoms it
+    substituted (``aliases``) and its unit nogoods (``fixed``): one per
+    entity that root propagation fixes, unless the root conflicts.
     """
     store = completion_nogoods(program)
     sizes = {
@@ -719,6 +720,7 @@ def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, lim
         "nogoods": store.n_static,
         "cardinalities": len(store.cardinalities),
         "aliases": len(store.aliases),
+        "fixed": len(store.units),
     }
     models, stats, status = enumerate_models(store, SolverConfig(timeout_s=timeout_s), limit)
     answers = []
@@ -739,12 +741,12 @@ def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, lim
 class EncodingPropagator:
     """Unit propagation harness over an encoding's completion nogoods.
 
-    The program is completed once, and one trail keeps the root fixpoint
-    (the unit nogoods propagated at level 0).  The encoding's value table
-    is built once too, on literal codes.  Each propagate() call seeds its
-    state's codes at level 1 above that root, propagates, reads the
-    pruned domains straight off the trail and backjumps to the root, so
-    the root is derived once per propagator.
+    The program is completed once, and completion folds its root
+    fixpoint into the store, so the one trail kept here only applies the
+    store's unit nogoods at level 0.  The encoding's value table is built
+    once too, on literal codes.  Each propagate() call seeds its state's
+    codes at level 1 above that root, propagates, reads the pruned
+    domains straight off the trail and backjumps to the root.
     """
 
     def __init__(self, enc: Encoding):

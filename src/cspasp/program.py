@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .propagation import BodyId, NogoodStore
+from .propagation import BodyId, NogoodStore, Trail, unit_propagate
 from .text import GROUND, INT, NAME, Tokens
 
 
@@ -336,11 +336,36 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     literals that became one counted twice (see ``add_cardinality``).
     Once atoms are substituted, a nogood that holds a literal and its
     complement can never fire and is dropped; each other nogood is
-    installed once, where it first occurs.
+    installed once, where it first occurs, and so is each cardinality
+    constraint, by its bound and sorted codes (two all-different
+    constraints over one scope in two orders post the same ones).
+
+    Last, the store is propagated once at level 0, and unless that
+    conflicts or fixes nothing, ``NogoodStore.fold_root`` folds the
+    fixpoint into it, as MiniSat drops the clauses that hold at level 0
+    (Eén & Sörensson, SAT 2003): one unit nogood per fixed entity, in
+    propagation order, stands for every root consequence; a nogood with
+    a literal the root falsifies is dropped and the others lose the
+    literals it makes true; a cardinality constraint loses its fixed
+    literals, its bound lowered by those that hold, and is dropped once
+    it can no longer fire.  Entities, aliases and their codes stay, and
+    propagation from any assignment above the root reaches the same
+    closure as before the fold.  A store whose root conflicts is
+    returned as built; the search refutes it without a decision.
 
     Completion characterizes answer sets only for tight programs, so a
     program that is not tight is rejected.
     """
+    store = _complete(program)
+    trail = Trail(store)
+    if unit_propagate(store, trail) is None and trail.codes:
+        store.fold_root(trail)
+    return store
+
+
+def _complete(program: GroundProgram) -> NogoodStore:
+    """The store of ``completion_nogoods`` before the root fold; its
+    working tables go when it returns, before the fold allocates."""
     n_normal: dict[Atom, int] = {}
     choice_heads: set[Atom] = set()
     single: dict[Atom, Lit] = {}  # head -> the body of a one-literal rule
@@ -380,6 +405,7 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
     choice_bodies: dict[Atom, list[int]] = {}
     supported: set[Atom] = set()  # heads of a rule with the empty body
     installed: dict[tuple[int, ...], None] = {}  # a dict peaks lower than a set
+    cards: dict[tuple[int, tuple[int, ...]], None] = {}  # (bound, sorted codes)
 
     def add(codes: list[int]) -> None:
         key = tuple(codes)
@@ -440,8 +466,11 @@ def completion_nogoods(program: GroundProgram) -> NogoodStore:
             for lc in body_codes(rule.literals):
                 add([lc])
         elif isinstance(rule, CardinalityRule):
-            store.add_cardinality(
-                rule.bound, [code[l.atom] ^ (not l.positive) for l in rule.literals])
+            lit_codes = sorted(code[l.atom] ^ (not l.positive) for l in rule.literals)
+            key = (rule.bound, tuple(lit_codes))
+            if key not in cards:
+                cards[key] = None
+                store.add_cardinality(*key)
         else:
             raise TypeError(f"not a ground rule: {rule!r}")
 

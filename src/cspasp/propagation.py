@@ -89,6 +89,9 @@ class NogoodStore:
     Cardinality constraints sit beside the nogoods, watched on every
     literal; ``nogoods`` and ``n_static`` count nogoods only.
 
+    ``fold_root`` folds a root fixpoint into a store that completion
+    has built, leaving one unit nogood per fixed entity.
+
     ``aliases`` maps an entity that has no index of its own to the code
     of the literal it equals (completion substitutes such atoms).
     ``code`` resolves them and ``Trail.assignment`` lists them, so a
@@ -180,15 +183,67 @@ class NogoodStore:
         number of codes can never be violated, and returns None.
         """
         lits = tuple(sorted(codes))
-        if k < 2:
-            raise ValueError("cardinality bound must be at least 2")
         if k > len(lits):
             return None
+        if k < 2:
+            raise ValueError("cardinality bound must be at least 2")
         j = len(self.cardinalities)
         self.cardinalities.append(Cardinality(k, lits))
         for c in set(lits):
             self.card_watches[c].append(j)
         return ~j
+
+    def fold_root(self, trail: Trail) -> None:
+        """Fold ``trail``, this store's conflict-free root fixpoint, into
+        the store in place; the store must hold no learned nogood.
+
+        Each code on the trail becomes one unit nogood, in trail order.  A
+        nogood with a falsified literal can never fire and is dropped; the
+        others lose the literals that hold.  A cardinality constraint
+        loses its assigned literals and its bound drops by those that
+        hold; ``add_cardinality`` then reinstalls each distinct one, and
+        drops those whose bound exceeds what is left.  Every kept
+        nogood keeps its ``Nogood`` object, its order and its watches
+        (both unassigned at a fixpoint), and the watch lists keep their
+        order, so propagation above the root runs as it did before the
+        fold.  Entities and aliases are untouched.
+        """
+        held = set(trail.codes)
+        false = {c ^ 1 for c in trail.codes}
+        nogoods = self.nogoods
+        n_units = len(trail.codes)
+        kept = [i for i, ng in enumerate(nogoods) if false.isdisjoint(ng.lits)]
+        new_id = [-1] * len(nogoods)
+        for j, i in enumerate(kept, n_units):
+            new_id[i] = j
+            lits = nogoods[i].lits
+            if not held.isdisjoint(lits):
+                lits[:] = [c for c in lits if c not in held]
+        nogoods[:] = [Nogood([c ^ 1], False) for c in trail.codes] + [nogoods[i] for i in kept]
+        self.skip[:] = [0] * n_units + [self.skip[i] for i in kept]
+        self.units[:] = range(n_units)
+        self.n_static = len(nogoods)
+        watches = self.watches
+        for c in trail.codes:
+            watches[c].clear()  # a nogood that watches an assigned literal is dropped
+            watches[c ^ 1].clear()
+        for wl in watches:
+            if wl:
+                wl[:] = [j for j in map(new_id.__getitem__, wl) if j >= 0]
+
+        assigned = held | false
+        cards = []
+        for bound, lits in self.cardinalities:
+            if not assigned.isdisjoint(lits):
+                bound -= sum(map(held.__contains__, lits))
+                lits = tuple(c for c in lits if c not in assigned)
+            cards.append((bound, lits))
+        self.cardinalities.clear()
+        for wl in self.card_watches:
+            if wl:
+                wl.clear()
+        for bound, lits in dict.fromkeys(cards):
+            self.add_cardinality(bound, lits)
 
     def lits_of(self, ng_id: int, trail: Trail, implied: int | None = None) -> list[int]:
         """The literal codes of nogood or cardinality id ``ng_id``.

@@ -94,14 +94,16 @@ def test_solve_stats_line(capsys, tmp_path):
     assert out.splitlines()[-1].startswith("decisions=")
     # the store sizes follow the search counters; under bound the four
     # b atoms and the two r(v,2,2) are entities, each r(v,1,1) is an alias
-    # of b(v,1), and there is no body: the choice rules' empty one always holds
+    # of b(v,1), and there is no body: the choice rules' empty one always
+    # holds; the root fixes b(v,2) true, a unit each, and the fold drops
+    # the four nogoods with F b(v,2) and strips T b(v,2) from two more
     code, out, _ = run(capsys, "solve", "-e", "bound", "--stats", path)
     assert code == 10
     fields = dict(field.split("=") for field in out.splitlines()[-1].split())
-    keys = ("entities", "bodies", "nogoods", "cardinalities", "aliases")
+    keys = ("entities", "bodies", "nogoods", "cardinalities", "aliases", "fixed")
     sizes = {k: int(fields[k]) for k in keys}
-    assert sizes == {"entities": 6, "bodies": 0, "nogoods": 10, "cardinalities": 2,
-                     "aliases": 2}
+    assert sizes == {"entities": 6, "bodies": 0, "nogoods": 6, "cardinalities": 2,
+                     "aliases": 2, "fixed": 2}
 
 
 def test_piped_encode_output_solves_identically(capsys, tmp_path, monkeypatch):
@@ -298,7 +300,8 @@ def test_emit_nogoods_names_each_substituted_atom(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "-e", "range", "--emit-nogoods", str(dump), src)
     assert code == 10 and out.startswith("SAT")
     lines = dump.read_text().splitlines()
-    assert len(lines) == len(set(lines)) == 21  # 14 nogoods, 3 cardinalities, 4 aliases
+    # 10 nogoods (2 of them the root's units), 3 cardinalities, 4 aliases
+    assert len(lines) == len(set(lines)) == 17
     aliases = [line for line in lines if " = " in line]
     assert aliases == ["r(x,2,3) = F r(x,1,1)", "r(x,3,3) = F r(x,1,2)",
                        "r(y,2,3) = F r(y,1,1)", "r(y,3,3) = F r(y,1,2)"]
@@ -351,7 +354,7 @@ PINNED = {
         ["solve", "--enumerate", "0", "--stats", "bare.lp"], 10,
         "MODEL 1\nb\nMODEL 2\na\nmodels = 2\n"
         "decisions=1 conflicts=0 propagations=3 restarts=0 learned=0 time_ms=T"
-        " entities=2 bodies=0 nogoods=2 cardinalities=0 aliases=0\n",
+        " entities=2 bodies=0 nogoods=2 cardinalities=0 aliases=0 fixed=0\n",
         {},
     ),
     "enumerate-0": (
@@ -366,14 +369,14 @@ PINNED = {
     "stats": (
         ["solve", "-e", "range", "--stats", "demo.csp"], 10,
         DEMO_ANSWER + "decisions=1 conflicts=0 propagations=11 restarts=0 learned=0"
-        " time_ms=T entities=12 bodies=0 nogoods=23 cardinalities=5 aliases=6\n",
+        " time_ms=T entities=12 bodies=0 nogoods=12 cardinalities=4 aliases=6 fixed=8\n",
         {},
     ),
     "timeout": (["solve", "--timeout", "0", "php8.csp"], 2, "UNKNOWN\n", {}),
     "timeout-enumerate": (
         ["solve", "--timeout", "0", "--enumerate", "0", "--stats", "php8.csp"], 2,
         "models = 0\ndecisions=0 conflicts=0 propagations=0 restarts=0 learned=0"
-        " time_ms=T entities=56 bodies=0 nogoods=8 cardinalities=15 aliases=0\n",
+        " time_ms=T entities=56 bodies=0 nogoods=8 cardinalities=15 aliases=0 fixed=0\n",
         {},
     ),
     "unsat-enumerate": (

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from cspasp import CapExceeded, EncodingKind, encode
-from cspasp.benchmarks import gen_ggp_double_wheel, gen_qcp, random_instance
+from cspasp.benchmarks import gen_ggp_double_wheel, gen_php, gen_qcp, random_instance
 from cspasp.program import (
     Atom,
     CardinalityRule,
@@ -25,7 +25,7 @@ from cspasp.program import (
     normalize_cardinality,
     parse_ground,
 )
-from cspasp.propagation import BodyId, SignedLiteral
+from cspasp.propagation import BodyId, SignedLiteral, dump_nogoods
 from cspasp.solver import UNSAT, enumerate_models, solve
 from .helpers import random_tight_program, store_answer_sets, true_atoms
 from .oracles import (
@@ -243,10 +243,11 @@ def test_completion_rejects_nontight_by_default():
 
 
 def test_completion_installs_cardinality_rules_natively():
+    d = Atom("d")
     program = GroundProgram((
-        ChoiceRule((a, b, c)),
+        ChoiceRule((a, b, c, d)),
         CardinalityRule(2, lits((a, True), (b, False), (c, True))),
-        CardinalityRule(1, lits((c, True),)),
+        CardinalityRule(1, lits((d, True),)),
     ))
     store = completion_nogoods(program)
     # k >= 2 is one counting constraint over the literals' codes, no nogood
@@ -254,15 +255,76 @@ def test_completion_installs_cardinality_rules_natively():
     assert bound == 2
     constraint = {SignedLiteral(a, True), SignedLiteral(b, False), SignedLiteral(c, True)}
     assert {store.literal(code) for code in codes} == constraint
-    # k = 1 has nothing to count: it completes to the unit nogood {T c}
+    # k = 1 has nothing to count: it completes to the unit nogood {T d}
     shapes = [{store.literal(code) for code in ng.lits} for ng in store.nogoods]
-    assert {SignedLiteral(c, True)} in shapes
+    assert {SignedLiteral(d, True)} in shapes
     assert constraint not in shapes
-    want = {frozenset(), frozenset({b}), frozenset({a, b})}
+    want = {frozenset(), frozenset({b}), frozenset({a, b}), frozenset({b, c})}
     assert set(brute_force_answer_sets(program)) == want
     assert store_answer_sets(program) == want
     with pytest.raises(TypeError):
         completion_nogoods(GroundProgram(("not a rule",)))
+
+
+def test_the_root_fixpoint_is_folded_into_the_store():
+    # ":- 1 {c}." fixes c false at the root: the fold keeps one unit for it
+    # and strips "T c" from the k = 2 constraint, whose bound stays 2 as
+    # no stripped literal holds
+    program = GroundProgram((
+        ChoiceRule((a, b, c)),
+        CardinalityRule(2, lits((a, True), (b, False), (c, True))),
+        CardinalityRule(1, lits((c, True),)),
+    ))
+    store = completion_nogoods(program)
+    assert store.entities == [a, b, c]
+    assert shapes_of(store) == [shape((c, True))] and store.units == [0]
+    ((bound, codes),) = store.cardinalities
+    assert bound == 2
+    assert {store.literal(code) for code in codes} == {SignedLiteral(a, True),
+                                                       SignedLiteral(b, False)}
+    want = {frozenset(), frozenset({b}), frozenset({a, b})}
+    assert set(brute_force_answer_sets(program)) == want
+    assert store_answer_sets(program) == want
+
+
+def test_a_held_literal_lowers_the_bound_and_a_spent_constraint_goes():
+    # the fact a makes ":- 2 {a; not a2}." force a2, and then
+    # ":- 3 {a; b; a2}." force b false: both are spent and go, and
+    # ":- 3 {a; b; c; not d}." becomes ":- 2 {c; not d}"; ":- 3 {c; d; not a2}"
+    # keeps two free literals against its bound of 3, so it can never fire
+    a2, d = Atom("a2"), Atom("d")
+    program = GroundProgram((
+        NormalRule(a),
+        ChoiceRule((b, c, d, a2)),
+        CardinalityRule(3, lits((a, True), (b, True), (c, True), (d, False))),
+        CardinalityRule(2, lits((a, True), (a2, False))),
+        CardinalityRule(3, lits((a, True), (b, True), (a2, True))),
+        CardinalityRule(3, lits((c, True), (d, True), (a2, False))),
+    ))
+    store = completion_nogoods(program)
+    # one unit per fixed entity, in propagation order
+    assert shapes_of(store) == [shape((a, False)), shape((a2, False)), shape((b, True))]
+    ((bound, codes),) = store.cardinalities
+    assert bound == 2
+    assert {store.literal(code) for code in codes} == {SignedLiteral(c, True),
+                                                       SignedLiteral(d, False)}
+    assert set(brute_force_answer_sets(program)) == store_answer_sets(program)
+
+
+def test_a_store_whose_root_conflicts_is_left_as_built(monkeypatch):
+    # php n=5 under bound conflicts at the root: completion returns the
+    # store unfolded, and the search refutes it with no decision
+    program = encode(gen_php(5), EncodingKind("bound")).program
+    built = []
+    monkeypatch.setattr("cspasp.program.unit_propagate", lambda store, trail: built.append(
+        (dump_nogoods(store), store.n_static, len(store.units))) or 0)
+    completion_nogoods(program)
+    monkeypatch.undo()
+    store = completion_nogoods(program)
+    assert built == [(dump_nogoods(store), store.n_static, len(store.units))]
+    result = solve(store)
+    assert result.status == UNSAT
+    assert (result.stats.decisions, result.stats.conflicts) == (0, 1)
 
 
 def shapes_of(store):

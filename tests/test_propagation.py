@@ -12,7 +12,7 @@ from cspasp.propagation import (
     unit_propagate,
 )
 
-from .helpers import check_watches, sl
+from .helpers import check_trail, check_watches, sl
 from .oracles import propagate_naive
 
 
@@ -274,3 +274,98 @@ def test_dump_nogoods_writes_cardinality_constraints():
         "T a, T b",
         ":- 2 {F a; T b; T c}",
     ]
+
+
+def closure(store, seeds):
+    """Propagate ``store`` at the root, then from ``seeds`` at level 1:
+    the assigned literals as a set and level 1's in trail order, or
+    "conflict"."""
+    trail = Trail(store)
+    if unit_propagate(store, trail) is not None:
+        return "conflict"
+    trail.new_level()
+    for lit in seeds:
+        code = store.code(lit)
+        if trail.falsified(code):
+            return "conflict"
+        if not trail.holds(code):
+            trail.assign(code, None)
+    if unit_propagate(store, trail) is not None:
+        return "conflict"
+    check_trail(store, trail)
+    above = trail.codes[trail.level_starts[1]:]
+    return set(trail.assignment()), [store.literal(c) for c in above]
+
+
+def check_card_watches(store):
+    """Each cardinality constraint is watched once on each distinct code."""
+    want = [[] for _ in store.card_watches]
+    for j, (_, lits) in enumerate(store.cardinalities):
+        for c in sorted(set(lits)):
+            want[c].append(j)
+    assert store.card_watches == want
+
+
+def test_folding_the_root_fixpoint_keeps_every_closure():
+    # each random store is built twice and one copy folded at its root
+    # fixpoint; from random seeds both reach the same closure in the same
+    # order, each literal with a sound reason, and with no cardinality
+    # constraint the naive scanner reaches it too
+    rng = random.Random("fold")
+    folds = dropped = stripped = cards_changed = 0
+    for trial in range(600):
+        ents = [f"x{i}" for i in range(rng.randint(2, 9))]
+
+        def draw(most):
+            size = rng.randint(1, min(most, len(ents)))
+            return [sl(e, rng.random() < 0.5) for e in rng.sample(ents, size)]
+
+        raw = [draw(4) for _ in range(rng.randint(1, 12))]
+        raw += [[sl(e, rng.random() < 0.5)] for e in rng.sample(ents, rng.randint(1, 2))]
+        cards = []
+        if trial % 2:
+            for _ in range(rng.randint(1, 4)):
+                lits = draw(5)
+                if len(lits) >= 2:
+                    cards.append((rng.randint(2, len(lits)), lits))
+
+        def build():
+            store = build_store(raw)
+            for e in ents:
+                store.intern(e)
+            for k, lits in cards:
+                store.add_cardinality(k, [store.code(lit) for lit in lits])
+            return store
+
+        plain, folded = build(), build()
+        trail = Trail(folded)
+        if unit_propagate(folded, trail) is not None:
+            continue
+        before = dump_nogoods(folded)
+        folded.fold_root(trail)
+        folds += 1
+        multi = [ng for ng in plain.nogoods if len(ng.lits) > 1]
+        dropped += sum(len(ng.lits) > 1 for ng in folded.nogoods) < len(multi)
+        new_lines = set(dump_nogoods(folded).splitlines()) - set(before.splitlines())
+        stripped += any(", " in line and " {" not in line for line in new_lines)
+        cards_changed += folded.cardinalities != plain.cardinalities
+        assert len(folded.units) == folded.n_static - sum(
+            len(ng.lits) > 1 for ng in folded.nogoods) == len(trail.codes)
+        assert [folded.literal(folded.nogoods[i].lits[0] ^ 1) for i in folded.units] \
+            == trail.assignment()
+        assert folded.n_entities == plain.n_entities
+        assert len(set(folded.cardinalities)) == len(folded.cardinalities)
+        check_watches(folded)
+        check_card_watches(folded)
+        for _ in range(6):
+            picked = rng.sample(ents, rng.randint(0, min(3, len(ents))))
+            seeds = [sl(e, rng.random() < 0.5) for e in picked]
+            got = closure(folded, seeds)
+            assert got == closure(plain, seeds), (trial, seeds)
+            if not cards:
+                order, status = propagate_naive(raw, seeds)
+                assert (got if got == "conflict" else got[0]) == (
+                    "conflict" if status == "conflict" else set(order)), trial
+    # every part of the fold was in play
+    assert min(folds, dropped, stripped, cards_changed) >= 100, (folds, dropped, stripped,
+                                                                cards_changed)
