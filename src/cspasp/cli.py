@@ -216,15 +216,15 @@ def _cmd_check(args) -> int:
 
 def _agrees(encoding, instance, pruned, oracle) -> bool:
     """Whether ``pruned`` meets the oracle's level under ``encoding``, a
-    name or an EncodingKind.  Unit propagation on the direct encoding, or
-    on one whose Hall limit drops counting rules, is held to the level
+    name or an EncodingKind.  Unit propagation on a ``within`` encoding,
+    or on one whose Hall limit drops counting rules, is held to the level
     from within: it prunes no value the oracle keeps, and conflicts only
     where the oracle does.  The others must reach it exactly."""
     if isinstance(encoding, str):
         encoding = EncodingKind(encoding)
     if pruned is None:
         return oracle.is_inconsistent()
-    if encoding.name == "direct" or encoding.hall_limit is not None:
+    if TRANSLATIONS[encoding.name].within or encoding.hall_limit is not None:
         return oracle.is_inconsistent() or all(
             set(oracle[d.name]) <= set(pruned[d.name]) for d in instance.variables
         )
@@ -250,6 +250,8 @@ def _cmd_bench(args) -> int:
     _require_at_least("--timeout", args.timeout, 0)
     specs = [BenchSpec.parse(s) for s in args.spec]
     names = args.encoding or list(ENCODING_NAMES)
+    if args.hall_limit is not None and not any(TRANSLATIONS[n].hall for n in names):
+        raise ValueError(f"--hall-limit applies to no selected encoding ({', '.join(names)})")
     kinds = [EncodingKind(n, args.hall_limit if TRANSLATIONS[n].hall else None) for n in names]
     report = run_suite(specs, kinds, timeout_s=args.timeout)
     _write_text(args.output, report.to_text())

@@ -162,6 +162,7 @@ class Translation:
     count: Callable  # (emap, c, hall_limit) -> rules for all-different/permutation
     table: Callable  # (emap, c, found) -> rules for a table; see _table for found
     level: str  # the consistency level `cspasp check` holds propagation to
+    within: bool = False  # whether propagation is held to ``level`` from within
     hall: bool = False  # whether a Hall limit applies
     close: Callable | None = None  # (emap) -> rules posted after the rest
     # whether value atom i says v <= i rather than v = i: then the least
@@ -378,7 +379,7 @@ def _define_interval_atoms(emap):
 
 TRANSLATIONS = {
     "direct": Translation(EncodingMap.e_atom, _value_domain, _direct_distinct,
-                          _direct_table, "ac"),
+                          _direct_table, "ac", within=True),
     "support": Translation(EncodingMap.e_atom, _value_domain, _support_distinct,
                            _support_table, "ac"),
     "bound": Translation(EncodingMap.b_atom, _bound_domain, _interval_count_rules,

@@ -90,7 +90,8 @@ class NogoodStore:
     literal; ``nogoods`` and ``n_static`` count nogoods only.
 
     ``fold_root`` folds a root fixpoint into a store that completion
-    has built, leaving one unit nogood per fixed entity.
+    has built, leaving one unit nogood per fixed entity; it and
+    ``delete`` remove nogoods through one routine, ``_compact``.
 
     ``aliases`` maps an entity that has no index of its own to the code
     of the literal it equals (completion substitutes such atoms).
@@ -199,37 +200,28 @@ class NogoodStore:
 
         Each code on the trail becomes one unit nogood, in trail order.  A
         nogood with a falsified literal can never fire and is dropped; the
-        others lose the literals that hold.  A cardinality constraint
-        loses its assigned literals and its bound drops by those that
-        hold; ``add_cardinality`` then reinstalls each distinct one, and
-        drops those whose bound exceeds what is left.  Every kept
-        nogood keeps its ``Nogood`` object, its order and its watches
-        (both unassigned at a fixpoint), and the watch lists keep their
-        order, so propagation above the root runs as it did before the
+        others lose the literals that hold, and keep their watches, both
+        unassigned at a fixpoint.  A cardinality constraint loses its
+        assigned literals and its bound drops by those that hold;
+        ``add_cardinality`` then reinstalls each distinct one, and drops
+        those whose bound exceeds what is left.  ``_compact`` renumbers
+        the rest, so propagation above the root runs as it did before the
         fold.  Entities and aliases are untouched.
         """
         held = set(trail.codes)
         false = {c ^ 1 for c in trail.codes}
         nogoods = self.nogoods
-        n_units = len(trail.codes)
         kept = [i for i, ng in enumerate(nogoods) if false.isdisjoint(ng.lits)]
-        new_id = [-1] * len(nogoods)
-        for j, i in enumerate(kept, n_units):
-            new_id[i] = j
+        for i in kept:
             lits = nogoods[i].lits
             if not held.isdisjoint(lits):
                 lits[:] = [c for c in lits if c not in held]
-        nogoods[:] = [Nogood([c ^ 1], False) for c in trail.codes] + [nogoods[i] for i in kept]
-        self.skip[:] = [0] * n_units + [self.skip[i] for i in kept]
-        self.units[:] = range(n_units)
-        self.n_static = len(nogoods)
         watches = self.watches
         for c in trail.codes:
             watches[c].clear()  # a nogood that watches an assigned literal is dropped
             watches[c ^ 1].clear()
-        for wl in watches:
-            if wl:
-                wl[:] = [j for j in map(new_id.__getitem__, wl) if j >= 0]
+        self._compact(kept, [c ^ 1 for c in trail.codes])
+        self.n_static = len(nogoods)
 
         assigned = held | false
         cards = []
@@ -264,27 +256,36 @@ class NogoodStore:
         return [implied ^ 1] + [c for c in held if pos_of[c >> 1] < before]
 
     def delete(self, ng_ids: Iterable[int], trail: Trail) -> None:
-        """Delete learned nogoods, none a unit or a reason on ``trail``, and
-        renumber the rest in order: in the watch lists, ``units`` and the
-        reasons of the codes on ``trail``."""
+        """Delete learned nogoods, none a unit or a reason on ``trail``;
+        ``_compact`` renumbers the rest, and the reasons of the codes on
+        ``trail`` follow."""
         gone = set(ng_ids)
         nogoods = self.nogoods
         if not all(nogoods[i].learned for i in gone):
             raise ValueError("static nogoods are permanent")
-        kept = [i for i in range(len(nogoods)) if i not in gone]
-        new_id = [0] * len(nogoods)  # read for kept ids only
-        for j, i in enumerate(kept):
-            new_id[i] = j
-        nogoods[:] = map(nogoods.__getitem__, kept)
-        self.skip[:] = map(self.skip.__getitem__, kept)
-        for wl in self.watches:
-            wl[:] = [new_id[i] for i in wl if i not in gone]
-        self.units[:] = map(new_id.__getitem__, self.units)
+        new_id = self._compact([i for i in range(len(nogoods)) if i not in gone], [])
         reason_of = trail.reason_of
         for c in trail.codes:
             r = reason_of[c >> 1]
             if r is not None and r >= 0:
                 reason_of[c >> 1] = new_id[r]
+
+    def _compact(self, kept: list[int], unit_codes: list[int]) -> list[int]:
+        """Make the nogoods a static unit per code of ``unit_codes``, then
+        those of the ascending ids ``kept``; renumber ``skip``, ``units`` and
+        each watch list in order.  Returns old id -> new id, -1 if dropped."""
+        nogoods = self.nogoods
+        n = len(unit_codes)
+        new_id = [-1] * len(nogoods)
+        for j, i in enumerate(kept, n):
+            new_id[i] = j
+        nogoods[:] = [Nogood([c], False) for c in unit_codes] + [nogoods[i] for i in kept]
+        self.skip[:] = [0] * n + [self.skip[i] for i in kept]
+        self.units[:] = [*range(n), *(j for j in map(new_id.__getitem__, self.units) if j >= 0)]
+        for wl in self.watches:
+            if wl:
+                wl[:] = [j for j in map(new_id.__getitem__, wl) if j >= 0]
+        return new_id
 
 
 class EntityValues:
@@ -408,22 +409,17 @@ def unit_propagate(store: NogoodStore, trail: Trail) -> int | None:
     codes = trail.codes
     level = len(trail.level_starts) - 1
 
-    # implied literals are appended inline (as Trail.assign would, without
-    # its check): each entity was just read as unassigned
     if trail.units_seen < len(store.units) and level == 0:
         for ng_id in store.units[trail.units_seen:]:
             c = nogoods[ng_id].lits[0]
             if lit[c]:
                 return ng_id
             if not lit[c ^ 1]:
-                idx = c >> 1
-                lit[c ^ 1] = 1
-                level_of[idx] = 0
-                reason_of[idx] = ng_id
-                pos_of[idx] = len(codes)
-                codes.append(c ^ 1)
+                trail.assign(c ^ 1, ng_id)
         trail.units_seen = len(store.units)
 
+    # implied literals are appended inline (as Trail.assign would, without
+    # its check): each entity was just read as unassigned
     head = trail.head
     while head < len(codes):
         sigma = codes[head]

@@ -468,6 +468,16 @@ def test_hall_limit_rejected_for_value_encodings(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--hall-limit", "2", "-e", "direct", path)
     assert code == 1
     assert "--hall-limit" in err
+    code, out, err = run(capsys, "bench", "--spec", "php:n=4", "-e", "support", "-e", "direct",
+                         "--hall-limit", "1")
+    assert code == 1 and out == ""
+    assert "--hall-limit" in err
+    # beside a value encoding the limit still goes to bound alone
+    code, out, _ = run(capsys, "bench", "--spec", "php:n=4", "-e", "support", "-e", "bound",
+                       "--hall-limit", "1", "--csv", str(tmp_path / "rows.csv"))
+    assert code == 0
+    rows = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:4] for row in rows] == [["support", ""], ["bound", "1"]]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -369,3 +369,84 @@ def test_folding_the_root_fixpoint_keeps_every_closure():
     # every part of the fold was in play
     assert min(folds, dropped, stripped, cards_changed) >= 100, (folds, dropped, stripped,
                                                                 cards_changed)
+
+
+def test_compaction_keeps_every_list_in_order():
+    # the root fold and a deletion each leave every watch list holding the
+    # nogoods it held before that survive, in the same order; after the
+    # deletion ``units`` and the trail's reasons name the nogoods they did
+    def watched(store):
+        return [[store.nogoods[i] for i in wl] for wl in store.watches]
+
+    def expect(lists, store):
+        """``lists`` cut to the nogoods still in ``store``, and whether one
+        of them is out of id order."""
+        alive = set(map(id, store.nogoods))
+        want = [[ng for ng in wl if id(ng) in alive] for wl in lists]
+        ids = {id(ng): i for i, ng in enumerate(store.nogoods)}
+        return want, any(sorted(wl, key=lambda ng: ids[id(ng)]) != wl for wl in want)
+
+    rng = random.Random("compact")
+    folds = deletes = 0
+    unordered_after = [0, 0]  # folds, deletions that left a list out of id order
+    for trial in range(300):
+        ents = [f"x{i}" for i in range(rng.randint(4, 9))]
+
+        def draw(least, most):
+            size = rng.randint(least, min(most, len(ents)))
+            return [sl(e, rng.random() < 0.5) for e in rng.sample(ents, size)]
+
+        def decide_some(store, trail):
+            # decisions above the root move watches off id order
+            trail.new_level()
+            for lit in draw(0, 3):
+                code = store.code(lit)
+                if not (trail.holds(code) or trail.falsified(code)):
+                    trail.assign(code, None)
+            return unit_propagate(store, trail)
+
+        store = build_store([draw(2, 4) for _ in range(rng.randint(6, 20))] + [draw(1, 1)])
+        for e in ents:
+            store.intern(e)
+        trail = Trail(store)
+        if unit_propagate(store, trail) is not None:
+            continue
+        for _ in range(3):
+            decide_some(store, trail)
+            trail.backjump(0)
+        if trail.codes:
+            before = watched(store)
+            store.fold_root(trail)
+            want, unordered = expect(before, store)
+            assert watched(store) == want, trial
+            assert store.units == list(range(len(trail.codes)))
+            check_watches(store)
+            folds += 1
+            unordered_after[0] += unordered
+
+        for _ in range(rng.randint(4, 12)):
+            store.add(draw(1, 4), learned=True)
+        trail = Trail(store)
+        if unit_propagate(store, trail) is not None:
+            continue
+        decide_some(store, trail)
+        reasons = {c: store.nogoods[r] for c in trail.codes
+                   if (r := trail.reason_of[c >> 1]) is not None and r >= 0}
+        locked = set(map(id, reasons.values()))
+        victims = [i for i, ng in enumerate(store.nogoods)
+                   if ng.learned and len(ng.lits) > 1 and id(ng) not in locked
+                   and rng.random() < 0.6]
+        if not victims:
+            continue
+        before = watched(store)
+        units = [store.nogoods[i] for i in store.units]
+        store.delete(victims, trail)
+        want, unordered = expect(before, store)
+        assert watched(store) == want, trial
+        assert [store.nogoods[i] for i in store.units] == units
+        assert {c: store.nogoods[trail.reason_of[c >> 1]] for c in reasons} == reasons
+        check_watches(store)
+        check_trail(store, trail)
+        deletes += 1
+        unordered_after[1] += unordered
+    assert min(folds, deletes, *unordered_after) >= 50, (folds, deletes, unordered_after)
