@@ -476,7 +476,7 @@ def run_suite(specs, kinds, timeout_s: float | None = None) -> BenchReport:
             hall = "" if kind.hall_limit is None else str(kind.hall_limit)
             try:
                 enc = encode(instance, kind)
-                status, _, stats, _ = run(enc.program, enc, timeout_s)
+                status, _, stats, _ = run(enc, timeout_s)
                 rows.append(
                     BenchRow(spec.family, spec.label(), kind.name, hall, status,
                              stats.decisions, stats.conflicts, stats.propagations,

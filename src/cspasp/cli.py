@@ -99,11 +99,13 @@ def _split_header(text: str):
         kind = EncodingKind(fields.get("encoding", "support"), None if hall == "-" else int(hall))
     except ValueError as exc:
         raise ValueError(f"encode header: {exc}") from None
-    body = []
+    # a blank line stands for the "% cspasp" line and two blanks for each
+    # "% ", so errors in the instance point at their place in the file
+    body = [""]
     for line in lines[1:]:
         if line.strip() == "% end":
             break
-        body.append(line[2:] if line.startswith("% ") else "")
+        body.append("  " + line[2:] if line.startswith("% ") else "")
     return parse_instance("\n".join(body)), kind
 
 
@@ -159,7 +161,7 @@ def _cmd_solve(args) -> int:
     enumerating = args.enumerate is not None
     limit = (args.enumerate if args.enumerate > 0 else None) if enumerating else 1
     try:
-        status, answers, stats, sizes = run(program, enc, args.timeout, limit)
+        status, answers, stats, sizes = run(program if enc is None else enc, args.timeout, limit)
     except ValueError as exc:
         if not headered:
             raise

@@ -139,10 +139,6 @@ class Encoding:
     emap: EncodingMap
     program: GroundProgram
 
-    @property
-    def row(self) -> Translation:
-        return TRANSLATIONS[self.kind.name]
-
     @cached_property
     def value_table(self) -> dict[str, _Values]:
         """The value table on signed literals, which ``seed_assignment``,
@@ -587,7 +583,8 @@ class _Values:
 
     The literals in it are whatever the table's builder makes of an
     (atom, truth) pair: ``SignedLiteral`` for the literal-level reference
-    functions, a literal code for ``EncodingPropagator``.
+    functions, a literal code for ``EncodingPropagator``.  A row is under
+    order exactly when its ``caps`` are filled.
     """
 
     values: tuple[int, ...]  # the original values a state may hold, ascending
@@ -602,7 +599,7 @@ def _value_table(enc: Encoding, literal: Callable) -> dict[str, _Values]:
     """Each variable's value atoms, as ``literal(atom, truth)``, from the
     encoding's ``Translation`` row; in declaration order.  Under order
     only the ladder is built, else only the false value atoms."""
-    emap, row = enc.emap, enc.row
+    emap, row = enc.emap, TRANSLATIONS[enc.kind.name]
     table = {}
     for name, internal in emap.values.items():
         values = tuple(map(emap.original, internal))
@@ -617,7 +614,7 @@ def _value_table(enc: Encoding, literal: Callable) -> dict[str, _Values]:
     return table
 
 
-def _seeds(table: dict[str, _Values], order: bool, state: DomainState) -> list:
+def _seeds(table: dict[str, _Values], state: DomainState) -> list:
     """The literals of ``table`` that express a state: removal is relative
     to the initial domains.  Raises ValueError on a state that is not over
     the instance's variables and values, or that leaves a variable with no
@@ -635,7 +632,7 @@ def _seeds(table: dict[str, _Values], order: bool, state: DomainState) -> list:
         if not vals:
             empty = empty or name
             continue
-        if order:
+        if var.caps:
             # a raised least value x lifts v above x-1 and a lowered
             # greatest one caps v at x; the domain rules pin the initial ends
             if vals[0] != var.values[0]:
@@ -649,7 +646,7 @@ def _seeds(table: dict[str, _Values], order: bool, state: DomainState) -> list:
     return seeds
 
 
-def _read(table: dict[str, _Values], order: bool, holds: Callable, domains=None) -> DomainState:
+def _read(table: dict[str, _Values], holds: Callable, domains=None) -> DomainState:
     """The values of ``domains`` (by default the initial ones) that the
     literals for which ``holds`` is true leave.  A false value atom
     removes its value; under order the least true "v <= i" caps v at i
@@ -657,7 +654,7 @@ def _read(table: dict[str, _Values], order: bool, holds: Callable, domains=None)
     out = {}
     for name, var in table.items():
         vals = var.values if domains is None else domains[name]
-        if order:
+        if var.caps:
             cap = bytes(map(holds, var.caps)).find(1)
             lift = bytes(map(holds, var.lifts)).rfind(1)
             lo = bisect_left(vals, var.first + lift + 1)
@@ -672,13 +669,13 @@ def _read(table: dict[str, _Values], order: bool, holds: Callable, domains=None)
 def seed_assignment(enc: Encoding, state: DomainState) -> list[SignedLiteral]:
     """Literals expressing a pruned domain state, ready to seed a trail:
     the literal-level form of what ``EncodingPropagator`` seeds."""
-    return _seeds(enc.value_table, enc.row.order, state)
+    return _seeds(enc.value_table, state)
 
 
 def pruned_domains(enc: Encoding, assignment) -> DomainState:
     """Read a (partial) assignment back as pruned initial domains: the
     literal-level form of what ``EncodingPropagator`` reads back."""
-    return _read(enc.value_table, enc.row.order, set(assignment).__contains__)
+    return _read(enc.value_table, set(assignment).__contains__)
 
 
 def decode(enc: Encoding, assignment) -> dict[str, int]:
@@ -691,7 +688,7 @@ def decode(enc: Encoding, assignment) -> dict[str, int]:
     it fails loudly.
     """
     true = {lit.entity for lit in assignment if lit.truth}
-    read = _read(enc.value_table, enc.row.order, lambda s: (s.entity in true) == s.truth)
+    read = _read(enc.value_table, lambda s: (s.entity in true) == s.truth)
     solution = {}
     for name, vals in read.domains.items():
         if len(vals) != 1:
@@ -700,20 +697,22 @@ def decode(enc: Encoding, assignment) -> dict[str, int]:
     return solution
 
 
-def run(program: GroundProgram, enc: Encoding | None = None, timeout_s=None, limit=1):
+def run(target: Encoding | GroundProgram, timeout_s=None, limit=1):
     """Complete a program, search it and read back up to ``limit`` models.
 
     Returns ``(status, answers, stats, sizes)``.  The status is UNKNOWN
     when the time budget ran out, else SAT or UNSAT by whether a model
-    was found; ``limit`` None means all models.  With an encoding of the
-    program, each answer is its model decoded and checked against the
-    instance, and a model that decodes to a non-solution raises
-    ValueError instead of being reported.  Without one, an answer lists
-    the program's true atoms in program order.  ``sizes`` counts the
-    completed store before the search adds nogoods to it, the atoms it
-    substituted (``aliases``) and its unit nogoods (``fixed``): one per
-    entity that root propagation fixes, unless the root conflicts.
+    was found; ``limit`` None means all models.  On an ``Encoding`` its
+    program is solved, each answer is a model decoded and checked against
+    the instance, and a model that decodes to a non-solution raises
+    ValueError instead of being reported.  On a bare ``GroundProgram`` an
+    answer lists the program's true atoms in program order.  ``sizes``
+    counts the completed store before the search adds nogoods to it, the
+    atoms it substituted (``aliases``) and its unit nogoods (``fixed``):
+    one per entity that root propagation fixes, unless the root conflicts.
     """
+    enc = target if isinstance(target, Encoding) else None
+    program = target if enc is None else enc.program
     store = completion_nogoods(program)
     sizes = {
         "entities": store.n_entities,
@@ -751,11 +750,9 @@ class EncodingPropagator:
     """
 
     def __init__(self, enc: Encoding):
-        self.enc = enc
         self.store = completion_nogoods(enc.program)
         self.trail = Trail(self.store)
         self.root_conflict = unit_propagate(self.store, self.trail) is not None
-        self._order = enc.row.order
         self._values = _value_table(enc, self._code)
 
     def _code(self, atom: Atom, truth: bool) -> int:
@@ -768,7 +765,7 @@ class EncodingPropagator:
         """UP fixpoint from the state's seed, within the state; None
         signals a conflict, and so does a readback that leaves a variable
         with no value."""
-        seeds = _seeds(self._values, self._order, state)
+        seeds = _seeds(self._values, state)
         if self.root_conflict:
             return None
         trail = self.trail
@@ -782,7 +779,7 @@ class EncodingPropagator:
                     trail.assign(code, None)
             if unit_propagate(self.store, trail) is not None:
                 return None
-            out = _read(self._values, self._order, lit.__getitem__, state.domains)
+            out = _read(self._values, lit.__getitem__, state.domains)
             return None if out.is_inconsistent() else out
         finally:
             trail.backjump(0)

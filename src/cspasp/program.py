@@ -201,17 +201,6 @@ def normalize_cardinality(program: GroundProgram) -> GroundProgram:
 # -- tightness ----------------------------------------------------------------
 
 
-def is_tight(program: GroundProgram) -> bool:
-    """True iff the positive head-to-body dependency graph is acyclic."""
-    succ: dict[Atom, list[Atom]] = {}
-    for rule in program.rules:
-        if isinstance(rule, NormalRule):
-            _depend(succ, (rule.head,), rule.body)
-        elif isinstance(rule, ChoiceRule):
-            _depend(succ, rule.heads, rule.body)
-    return _acyclic(succ)
-
-
 def _depend(succ: dict[Atom, list[Atom]], heads, body) -> None:
     """Add the edges from each head to the body's positive atoms."""
     positive = [lit.atom for lit in body if lit.positive]

@@ -295,7 +295,7 @@ def test_double_wheel_n3_is_refuted_on_the_shipped_path():
     # cardinality constraints, completion and search in ``run``, within
     # the same minute (about 5,600 conflicts)
     enc = encode(gen_ggp_double_wheel(3), EncodingKind("support"))
-    status, answers, stats, _ = run(enc.program, enc, timeout_s=60.0)
+    status, answers, stats, _ = run(enc, timeout_s=60.0)
     assert (status, answers) == (UNSAT, [])
     assert stats.conflicts > 0
 

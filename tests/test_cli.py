@@ -233,6 +233,17 @@ def test_solve_names_a_bad_header_field(capsys, tmp_path, field, message):
     assert err == f"cspasp: error: encode header: {message}\n"
 
 
+def test_solve_places_a_header_instance_error_at_its_file_position(capsys, tmp_path):
+    # the header's instance starts on file line 2, after "% cspasp ...",
+    # and each of its lines after the two characters "% "
+    header = x_header(capsys, tmp_path, "direct")
+    edited = header.replace("% end\n", "%   var y 1 q\n% end\n")
+    assert edited.splitlines()[2] == "%   var y 1 q"
+    code, out, err = run(capsys, "solve", write(tmp_path, "x.lp", edited + "e(x,1).\n"))
+    assert (code, out) == (1, "")
+    assert err == "cspasp: error: line 3, col 13: expected integer, found 'q'\n"
+
+
 @pytest.mark.parametrize("flags", [["-e", "range"], ["--hall-limit", "3"]])
 def test_solve_rejects_encoding_flags_on_a_ground_program(capsys, tmp_path, flags):
     path = write(tmp_path, "g.lp", "{a; b}.\n:- a, b.\n")

@@ -20,7 +20,6 @@ from cspasp.program import (
     NormalRule,
     completion_nogoods,
     emit_ground,
-    is_tight,
     make_cardinality,
     normalize_cardinality,
     parse_ground,
@@ -148,19 +147,6 @@ def test_normalization_rejects_unknown_method():
 # -- tightness, reduct, answer sets -------------------------------------------------
 
 
-def test_is_tight():
-    assert is_tight(GroundProgram((NormalRule(a, lits((b, True))),)))
-    loop = GroundProgram(
-        (NormalRule(a, lits((b, True))), NormalRule(b, lits((a, True))))
-    )
-    assert not is_tight(loop)
-    # negative loops do not affect tightness
-    neg = GroundProgram(
-        (NormalRule(a, lits((b, False))), NormalRule(b, lits((a, False))))
-    )
-    assert is_tight(neg)
-
-
 def test_reduct_and_least_model():
     program = GroundProgram(
         (
@@ -238,8 +224,13 @@ def test_completion_rejects_nontight_by_default():
     loop = GroundProgram(
         (NormalRule(a, lits((b, True))), NormalRule(b, lits((a, True))))
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not tight"):
         completion_nogoods(loop)
+    completion_nogoods(GroundProgram((NormalRule(a, lits((b, True))),)))
+    # negative loops do not affect tightness
+    completion_nogoods(GroundProgram(
+        (NormalRule(a, lits((b, False))), NormalRule(b, lits((a, False))))
+    ))
 
 
 def test_completion_installs_cardinality_rules_natively():
