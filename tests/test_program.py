@@ -147,6 +147,15 @@ def test_normalization_rejects_unknown_method():
 # -- tightness, reduct, answer sets -------------------------------------------------
 
 
+def test_is_tight():
+    # completion is the tightness check: tight programs complete without error
+    completion_nogoods(GroundProgram((NormalRule(a, lits((b, True))),)))
+    # negative loops do not affect tightness
+    completion_nogoods(GroundProgram(
+        (NormalRule(a, lits((b, False))), NormalRule(b, lits((a, False))))
+    ))
+
+
 def test_reduct_and_least_model():
     program = GroundProgram(
         (
@@ -226,11 +235,6 @@ def test_completion_rejects_nontight_by_default():
     )
     with pytest.raises(ValueError, match="not tight"):
         completion_nogoods(loop)
-    completion_nogoods(GroundProgram((NormalRule(a, lits((b, True))),)))
-    # negative loops do not affect tightness
-    completion_nogoods(GroundProgram(
-        (NormalRule(a, lits((b, False))), NormalRule(b, lits((a, False))))
-    ))
 
 
 def test_completion_installs_cardinality_rules_natively():
